@@ -11,6 +11,7 @@
  * throughput sustained by pipelining.
  */
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 
 #include "core/config.h"
@@ -24,8 +25,15 @@ int
 main(int argc, char **argv)
 {
     const Config cfg = Config::fromArgs(argc, argv);
-    const auto frames =
-        static_cast<std::size_t>(cfg.getInt("frames", 50000));
+    const std::int64_t frames_arg = cfg.getInt("frames", 50000);
+    if (frames_arg <= 0) {
+        // A negative count would wrap to a near-endless size_t run.
+        std::fprintf(stderr,
+                     "usage: bench_fig10_latency [frames=N (N > 0)] "
+                     "[deadline_ms=MS] [out=PATH]\n");
+        return 2;
+    }
+    const auto frames = static_cast<std::size_t>(frames_arg);
 
     const PlatformModel model;
     SovPipelineModel pipeline(model, SovPipelineConfig{}, Rng(42));

@@ -5,6 +5,9 @@
  */
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cmath>
 #include <optional>
 #include <vector>
 
@@ -64,6 +67,36 @@ struct Aabb2
     Aabb2 inflated(double margin) const;
 };
 
+/**
+ * Room left on every circumcircle rejection (box-box, ray-box and
+ * prediction bounds). Each rejection stands in for exact SAT / edge
+ * arithmetic, so a bound that holds in real arithmetic is only acted
+ * on with this margin to spare: 1 um plus 1e-9 of @p scale, the
+ * largest coordinate magnitude involved, far above the rounding of
+ * the corner and projection arithmetic it replaces.
+ */
+inline double
+circleSlack(double scale)
+{
+    return 1e-6 + 1e-9 * scale;
+}
+
+/**
+ * True when the discs (@p a, @p ra) and (@p b, @p rb), each widened by
+ * circleSlack(), are disjoint: anything inside the one provably stays
+ * clear of anything inside the other.
+ */
+inline bool
+discsApart(const Vec2 &a, double ra, const Vec2 &b, double rb)
+{
+    const double reach = ra + rb;
+    const double scale = std::max({std::fabs(a.x()), std::fabs(a.y()),
+                                   std::fabs(b.x()), std::fabs(b.y())}) +
+        reach;
+    const double limit = reach + circleSlack(scale);
+    return (a - b).squaredNorm() > limit * limit;
+}
+
 /** Oriented rectangle (vehicle/obstacle footprint). */
 struct OrientedBox2
 {
@@ -71,10 +104,18 @@ struct OrientedBox2
     double half_length;  //!< along heading
     double half_width;   //!< across heading
 
-    /** The four corners, CCW. */
-    std::vector<Vec2> corners() const;
+    /** The four corners, CCW, from one sin/cos pair. */
+    std::array<Vec2, 4> corners() const;
 
-    /** Separating-axis overlap test against another box. */
+    /** Radius of the circle through the corners (centred on pose). */
+    double circumradius() const
+    {
+        return std::sqrt(half_length * half_length +
+                         half_width * half_width);
+    }
+
+    /** Separating-axis overlap test against another box; boxes whose
+     *  circumcircles are discsApart() skip the SAT. */
     bool overlaps(const OrientedBox2 &o) const;
 
     /** Containment test for a point. */

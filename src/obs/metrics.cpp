@@ -172,24 +172,21 @@ double
 MetricRegistry::min(const std::string &name) const
 {
     Hist *h = findHist(name);
-    SOV_ASSERT(h != nullptr);
-    return h->percentile(0.0);
+    return h ? h->percentile(0.0) : 0.0;
 }
 
 double
 MetricRegistry::max(const std::string &name) const
 {
     Hist *h = findHist(name);
-    SOV_ASSERT(h != nullptr);
-    return h->percentile(100.0);
+    return h ? h->percentile(100.0) : 0.0;
 }
 
 double
 MetricRegistry::percentile(const std::string &name, double p) const
 {
     Hist *h = findHist(name);
-    SOV_ASSERT(h != nullptr);
-    return h->percentile(p);
+    return h ? h->percentile(p) : 0.0;
 }
 
 double

@@ -70,9 +70,11 @@ class MetricRegistry
     /** Samples recorded for @p name; 0 if absent. */
     std::size_t count(const std::string &name) const;
     double mean(const std::string &name) const;
+    /** Smallest / largest sample; 0 if absent or empty. */
     double min(const std::string &name) const;
     double max(const std::string &name) const;
-    /** Exact linear-interpolated percentile, @p p in [0, 100]. */
+    /** Exact linear-interpolated percentile, @p p in [0, 100]; 0 if
+     *  absent or empty. */
     double percentile(const std::string &name, double p) const;
     double stddev(const std::string &name) const;
     /** Digest-backed quantile, @p q in [0, 1] — the mergeable

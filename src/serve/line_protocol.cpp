@@ -1,5 +1,6 @@
 #include "serve/line_protocol.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -143,11 +144,16 @@ std::uint64_t paramU64(const Request &request, const std::string &key,
     const auto it = request.params.find(key);
     if (it == request.params.end())
         return fallback;
+    const std::string &text = it->second;
+    if (!text.empty() && text.front() == '-')
+        throw BadParam(key);
     char *end = nullptr;
-    const unsigned long long value =
-        std::strtoull(it->second.c_str(), &end, 10);
-    if (end == it->second.c_str() || *end != '\0')
+    errno = 0;
+    const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
+    if (end == text.c_str() || *end != '\0')
         return fallback;
+    if (errno == ERANGE)
+        throw BadParam(key);
     return static_cast<std::uint64_t>(value);
 }
 

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <map>
+#include <stdexcept>
 #include <string>
 
 #include "fleet/fleet_report.h"
@@ -59,9 +60,22 @@ struct Request
 /** Parse one request line (no trailing newline). */
 Request parseRequest(const std::string &line);
 
-/** Typed option access with fallbacks (malformed -> fallback). */
+/** A present option whose value its type cannot hold; what() is the
+ *  key. The protocol answers it with "ERR bad_param <key>". */
+class BadParam : public std::invalid_argument
+{
+  public:
+    explicit BadParam(const std::string &key) : std::invalid_argument(key)
+    {
+    }
+};
+
+/** Typed option access with fallbacks (missing or malformed ->
+ *  fallback). */
 double paramDouble(const Request &request, const std::string &key,
                    double fallback);
+/** As paramDouble, but a negative or out-of-range number throws
+ *  BadParam: strtoull would wrap "-1" to 2^64 - 1. */
 std::uint64_t paramU64(const Request &request, const std::string &key,
                        std::uint64_t fallback);
 

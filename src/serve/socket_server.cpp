@@ -207,10 +207,28 @@ void SocketServer::connectionLoop(int fd)
     }
 }
 
+const TenantConfig *SocketServer::findTenant(const std::string &name) const
+{
+    for (const TenantConfig &tenant : service_.config().tenants)
+        if (tenant.name == name)
+            return &tenant;
+    return nullptr;
+}
+
 bool SocketServer::handleLine(const std::string &line,
                               std::vector<std::string> &out)
 {
-    const Request request = parseRequest(line);
+    try {
+        return dispatch(parseRequest(line), out);
+    } catch (const BadParam &e) {
+        out.push_back(std::string("ERR bad_param ") + e.what());
+        return true;
+    }
+}
+
+bool SocketServer::dispatch(const Request &request,
+                            std::vector<std::string> &out)
+{
     switch (request.verb) {
     case Verb::Invalid:
         out.push_back("ERR bad_request " + request.error);
@@ -248,15 +266,24 @@ bool SocketServer::handleLine(const std::string &line,
             paramU64(request, "seeds", params.seeds));
         params.horizon_s =
             paramDouble(request, "horizon_s", params.horizon_s);
-        auto scenarios = catalog_.build(request.set, params);
-        if (!scenarios) {
+        if (!catalog_.has(request.set)) {
             out.push_back("ERR unknown_set " + request.set);
             return true;
         }
-        const std::size_t n_scenarios = scenarios->size();
         JobRequest job;
         job.tenant = request.tenant;
-        job.scenarios = std::move(*scenarios);
+        // Every seed adds at least one scenario, and admission rejects
+        // a job above the tenant's backlog cap: refuse such a count
+        // before the catalog build allocates it. An unknown tenant's
+        // job goes in empty; admission rejects the tenant first.
+        if (const TenantConfig *tenant = findTenant(request.tenant)) {
+            if (params.seeds > tenant->max_queued_scenarios) {
+                out.push_back("ERR bad_param seeds");
+                return true;
+            }
+            job.scenarios = *catalog_.build(request.set, params);
+        }
+        const std::size_t n_scenarios = job.scenarios.size();
         const auto label = request.params.find("label");
         if (label != request.params.end())
             job.label = label->second;

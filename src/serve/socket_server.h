@@ -29,6 +29,8 @@
 
 namespace sov::serve {
 
+struct Request;
+
 /** Transport provisioning; empty/negative fields disable a listener. */
 struct SocketServerConfig
 {
@@ -67,6 +69,10 @@ class SocketServer
     bool handleLine(const std::string &line, std::vector<std::string> &out);
 
   private:
+    /** handleLine past the parse; a BadParam escapes to handleLine. */
+    bool dispatch(const Request &request, std::vector<std::string> &out);
+    /** The provisioning of tenant @p name; nullptr if unknown. */
+    const TenantConfig *findTenant(const std::string &name) const;
     void acceptLoop(int listen_fd);
     void connectionLoop(int fd);
     int registerConnection(int fd);

@@ -410,10 +410,10 @@ ClosedLoopSim::physicsStep()
     const auto &obstacles = snap.obstacles();
     if (prev_gaps_.size() != obstacles.size())
         prev_gaps_.assign(obstacles.size(), 1e18);
+    const OrientedBox2 ego{vehicle_.pose(), 1.3, 0.7};
     for (std::size_t i = 0; i < obstacles.size(); ++i) {
         const Obstacle &obs = obstacles[i];
         const OrientedBox2 box = obs.footprintAt(sim_.now());
-        const OrientedBox2 ego{vehicle_.pose(), 1.3, 0.7};
         const double gap = ego.distanceTo(box);
         if (gap < result_.min_gap) {
             result_.min_gap = gap;

@@ -1,5 +1,6 @@
 #include "world/world.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/logging.h"
@@ -83,9 +84,21 @@ WorldSnapshot::raycast(const Vec2 &origin, const Vec2 &direction,
         return std::nullopt;
     const Vec2 dir = direction.normalized();
     const Segment2 ray{origin, origin + dir * max_range};
+    const double origin_scale =
+        std::max(std::fabs(origin.x()), std::fabs(origin.y())) + max_range;
     std::optional<double> best;
     for (const auto &obs : *obstacles_) {
         const OrientedBox2 box = obs.footprintAt(t);
+        // A box lies inside its circumcircle: when that circle,
+        // widened by circleSlack(), stays clear of the ray segment, the
+        // box can neither contain the origin nor cross the ray.
+        const Vec2 &c = box.pose.position;
+        const double r = box.circumradius();
+        const double scale =
+            std::max({origin_scale, std::fabs(c.x()), std::fabs(c.y())}) +
+            r;
+        if (ray.distanceTo(c) > r + circleSlack(scale))
+            continue;
         // Ray starting inside a box hits at distance 0.
         if (box.contains(origin)) {
             return 0.0;

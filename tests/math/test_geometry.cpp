@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "core/rng.h"
+#include "geometry_oracle.h"
 #include "math/geometry.h"
 
 namespace sov {
@@ -145,6 +147,127 @@ TEST(OrientedBox2, DistanceToDisjointAndOverlapping)
     // Diagonal separation: nearest corners.
     const OrientedBox2 d{Pose2{Vec2(4.0, 4.0), 0.0}, 1.0, 1.0};
     EXPECT_NEAR(a.distanceTo(d), std::sqrt(8.0), 1e-12);
+}
+
+/** A random box in the fleet's coordinate range; every tenth one has
+ *  a zero half-length, half-width or both. */
+OrientedBox2
+randomBox(Rng &rng)
+{
+    OrientedBox2 box{Pose2{Vec2(rng.uniform(-300.0, 300.0),
+                                rng.uniform(-300.0, 300.0)),
+                           rng.uniform(-4.0, 4.0)},
+                     rng.uniform(0.0, 3.0), rng.uniform(0.0, 1.5)};
+    if (rng.bernoulli(0.1)) {
+        const auto which = rng.uniformInt(0, 2);
+        if (which != 1)
+            box.half_length = 0.0;
+        if (which != 0)
+            box.half_width = 0.0;
+    }
+    return box;
+}
+
+/**
+ * Place @p b against @p a in one of the shapes the rejections must not
+ * get wrong: overlapping, face-touching, nested, or with the centre
+ * distance a hair either side of the sum of the circumradii.
+ */
+void
+placeAgainst(const OrientedBox2 &a, OrientedBox2 &b, Rng &rng)
+{
+    const double angle = rng.uniform(-M_PI, M_PI);
+    const Vec2 dir(std::cos(angle), std::sin(angle));
+    const double reach = a.circumradius() + b.circumradius();
+    switch (rng.uniformInt(0, 5)) {
+      case 0: // overlapping or near: centres well inside the reach
+        b.pose.position = a.pose.position + dir * rng.uniform(0.0, reach);
+        break;
+      case 1: { // touching faces: same heading, edge on edge
+        b.pose.heading = a.pose.heading +
+            M_PI / 2.0 * static_cast<double>(rng.uniformInt(0, 3));
+        const double along = a.half_length + (rng.bernoulli(0.5)
+                                                  ? b.half_length
+                                                  : b.half_width);
+        b.pose.position = a.pose.transform(
+            Vec2(along, rng.uniform(-a.half_width, a.half_width)));
+        break;
+      }
+      case 2: // nested: a smaller box at a nearby centre
+        b.half_length = a.half_length * rng.uniform(0.0, 0.5);
+        b.half_width = a.half_width * rng.uniform(0.0, 0.5);
+        b.pose.position = a.pose.transform(
+            Vec2(rng.uniform(-0.4, 0.4) * a.half_length,
+                 rng.uniform(-0.4, 0.4) * a.half_width));
+        break;
+      case 3: // centre distance right at the circumcircle bound
+        b.pose.position = a.pose.position +
+            dir * (reach * (1.0 + rng.uniform(-1e-9, 1e-9)) +
+                   rng.uniform(-2e-6, 2e-6));
+        break;
+      case 4: // just outside the bound, within a few slacks
+        b.pose.position = a.pose.position +
+            dir * (reach + rng.uniform(0.0, 1e-5));
+        break;
+      default: // anywhere within a fleet-scale distance
+        b.pose.position = a.pose.position + dir * rng.uniform(0.0, 60.0);
+        break;
+    }
+}
+
+TEST(OrientedBox2, CornersMatchPerCornerTransformBitwise)
+{
+    Rng rng(11);
+    for (int i = 0; i < 100000; ++i) {
+        const OrientedBox2 box = randomBox(rng);
+        const auto got = box.corners();
+        const auto want = oracle::corners(box);
+        for (std::size_t k = 0; k < 4; ++k) {
+            ASSERT_EQ(oracle::bits(got[k].x()), oracle::bits(want[k].x()))
+                << "case " << i << " corner " << k;
+            ASSERT_EQ(oracle::bits(got[k].y()), oracle::bits(want[k].y()))
+                << "case " << i << " corner " << k;
+        }
+    }
+}
+
+TEST(OrientedBox2, OverlapAndDistanceMatchAllocatingOracleBitwise)
+{
+    Rng rng(12);
+    int overlapping = 0, near_bound = 0;
+    for (int i = 0; i < 100000; ++i) {
+        const OrientedBox2 a = randomBox(rng);
+        OrientedBox2 b = randomBox(rng);
+        placeAgainst(a, b, rng);
+        const bool want_overlap = oracle::overlaps(a, b);
+        ASSERT_EQ(a.overlaps(b), want_overlap) << "case " << i;
+        ASSERT_EQ(b.overlaps(a), oracle::overlaps(b, a)) << "case " << i;
+        ASSERT_EQ(oracle::bits(a.distanceTo(b)),
+                  oracle::bits(oracle::distanceTo(a, b)))
+            << "case " << i;
+        ASSERT_EQ(oracle::bits(b.distanceTo(a)),
+                  oracle::bits(oracle::distanceTo(b, a)))
+            << "case " << i;
+        overlapping += want_overlap;
+        const double reach = a.circumradius() + b.circumradius();
+        near_bound += std::fabs(a.pose.position.distanceTo(b.pose.position) -
+                                reach) < 1e-5;
+    }
+    // The generator really exercised both sides of the rejection.
+    EXPECT_GT(overlapping, 20000);
+    EXPECT_GT(near_bound, 20000);
+}
+
+TEST(OrientedBox2, DiscsApartIsConservative)
+{
+    // Tangent discs are not apart; only a gap beyond the slack is.
+    EXPECT_FALSE(discsApart(Vec2(0, 0), 1.0, Vec2(3, 0), 2.0));
+    EXPECT_FALSE(discsApart(Vec2(0, 0), 1.0, Vec2(3.0 + 5e-7, 0), 2.0));
+    EXPECT_TRUE(discsApart(Vec2(0, 0), 1.0, Vec2(3.0 + 1e-5, 0), 2.0));
+    // The slack grows with the coordinate magnitude.
+    EXPECT_FALSE(discsApart(Vec2(1e6, 0), 1.0, Vec2(1e6 + 3.0 + 1e-5, 0),
+                            2.0));
+    EXPECT_TRUE(discsApart(Vec2(1e6, 0), 1.0, Vec2(1e6 + 3.01, 0), 2.0));
 }
 
 TEST(Polyline2, AppendExtends)

@@ -126,6 +126,20 @@ TEST(MetricRegistry, ToJsonStableShape)
               "\"min\":10,\"max\":10,\"p50\":10,\"p99\":10}}}");
 }
 
+TEST(MetricRegistry, MissingHistogramReadsAsZero)
+{
+    // A run with no samples (e.g. zero frames) asks for percentiles of
+    // a histogram that was never created: 0, as for an empty one.
+    MetricRegistry m;
+    EXPECT_EQ(m.percentile("total", 99.0), 0.0);
+    EXPECT_EQ(m.min("total"), 0.0);
+    EXPECT_EQ(m.max("total"), 0.0);
+    EXPECT_EQ(m.count("total"), 0u);
+    m.recordValue("total", 3.0);
+    EXPECT_EQ(m.percentile("total", 99.0), 3.0);
+    EXPECT_EQ(m.percentile("absent", 50.0), 0.0);
+}
+
 TEST(MetricRegistry, EmptyAndClear)
 {
     MetricRegistry m;

@@ -73,6 +73,24 @@ TEST(LineProtocol, ParamHelpersFallBackOnMissingOrMalformed)
     EXPECT_EQ(paramU64(r, "absent", 5), 5u);
 }
 
+TEST(LineProtocol, ParamU64RejectsNegativeAndOutOfRange)
+{
+    const Request r = parseRequest(
+        "SUBMIT t s seeds=-1 seed=-0 from=18446744073709551616 "
+        "max=18446744073709551615 empty=");
+    ASSERT_EQ(r.verb, Verb::Submit);
+    EXPECT_THROW(paramU64(r, "seeds", 1), BadParam);
+    EXPECT_THROW(paramU64(r, "seed", 1), BadParam);
+    EXPECT_THROW(paramU64(r, "from", 0), BadParam);
+    EXPECT_EQ(paramU64(r, "max", 0), 18446744073709551615ull);
+    EXPECT_EQ(paramU64(r, "empty", 4), 4u); // malformed still falls back
+    try {
+        paramU64(r, "seeds", 1);
+    } catch (const BadParam &e) {
+        EXPECT_STREQ(e.what(), "seeds");
+    }
+}
+
 TEST(LineProtocol, FormatSnapshotCarriesEveryField)
 {
     JobSnapshot s;

@@ -121,6 +121,47 @@ TEST(SocketServer, ProtocolErrorsAreErrLines)
               "OK bye");
 }
 
+TEST(SocketServer, NegativeAndOversizedCountsAreBadParams)
+{
+    // Default provisioning: at most 1000 queued scenarios.
+    TenantConfig t0;
+    t0.name = "t0";
+    ServiceConfig config;
+    config.workers = 1;
+    config.tenants = {t0};
+    ScenarioService service(config);
+    SocketServer server(service, ScenarioCatalog::standard(),
+                        SocketServerConfig{});
+
+    // "-1" used to wrap to 2^64 - 1 and abort the service in the
+    // catalog build; 1e8 seeds used to exhaust memory there.
+    EXPECT_EQ(roundTrip(server, "SUBMIT t0 scenario_fuzz seeds=-1")[0],
+              "ERR bad_param seeds");
+    EXPECT_EQ(roundTrip(server, "SUBMIT t0 scenario_fuzz seeds=100000000")[0],
+              "ERR bad_param seeds");
+    EXPECT_EQ(roundTrip(server, "SUBMIT t0 scenario_fuzz "
+                                "seeds=99999999999999999999999")[0],
+              "ERR bad_param seeds");
+    EXPECT_EQ(roundTrip(server, "SUBMIT t0 open_road seed=-7")[0],
+              "ERR bad_param seed");
+    // The cap is the tenant's backlog, not a fixed constant.
+    EXPECT_EQ(roundTrip(server, "SUBMIT t0 scenario_fuzz seeds=1001")[0],
+              "ERR bad_param seeds");
+
+    // The service is still up and still admits a sane job.
+    EXPECT_EQ(roundTrip(server, "PING")[0], "OK pong");
+    const auto ok =
+        roundTrip(server, "SUBMIT t0 scenario_fuzz seeds=2 horizon_s=1");
+    ASSERT_EQ(ok[0].rfind("OK job=", 0), 0u) << ok[0];
+    EXPECT_NE(ok[0].find("scenarios=2"), std::string::npos) << ok[0];
+    const std::string id = ok[0].substr(7, ok[0].find(' ') - 7);
+    EXPECT_EQ(roundTrip(server, "ROWS " + id + " from=-1")[0],
+              "ERR bad_param from");
+    // Nothing rejected above reached admission.
+    EXPECT_NE(roundTrip(server, "STATS")[0].find("submitted=1 "),
+              std::string::npos);
+}
+
 TEST(SocketServer, CatalogListsEveryStandardSet)
 {
     ScenarioService service(serviceConfig());
