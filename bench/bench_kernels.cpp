@@ -10,33 +10,30 @@
  *     Reference oracle (checksum compare); the GEMM convolution must
  *     stay within a small relative tolerance of the naive loop nest;
  *     the planned FFT must be bit-identical to the ad-hoc fft2d; the
- *     Fast/Simd ICP transforms must match Reference to reassociation
- *     epsilon; the Simd stereo/conv outputs must be bit-identical to
- *     Fast (element-wise kernels round identically at every level).
- *  2. Determinism — the Fast AND Simd stereo outputs must be
- *     bit-identical across ThreadPool sizes 1 / 2 / 8.
+ *     Fast ICP transform must match Reference to reassociation
+ *     epsilon. The *_vector rows run one Fast primitive (stereo SAD,
+ *     gemmF32, the FFT plan) at SimdLevel::None and at the host's
+ *     detectSimdLevel(); both outputs must be bitwise equal.
+ *  2. Determinism — the Fast stereo output must be bit-identical
+ *     across ThreadPool sizes 1 / 2 / 8.
  *  3. Speed — Fast must beat Reference by at least the per-kernel
- *     floor (3x stereo, 2x conv forward, 3x ICP align, 2x planned FFT
- *     by default; lowered in smoke mode where tiny inputs amortize
+ *     floor (3x stereo, 2x conv forward, 1.2x ICP align, 2x planned
+ *     FFT by default; lowered in smoke mode where tiny inputs amortize
  *     less, and overridable for sanitizer runs with stereo_floor= /
- *     conv_floor= / icp_floor= / fft_floor=). The icp_align floor
- *     races Fast against the historical Matrix-churn accumulation the
- *     de-churn satellite replaced (replicated locally, asserted
- *     bit-identical to the in-tree Reference every run); the
- *     icp_align_dechurn row races the same Fast run against the
- *     in-tree Reference at its own floor (icp_dechurn_floor=). The
- *     Simd-vs-Fast stereo floor (simd_floor=, default 1.5) is
- *     enforced only when the host actually runs AVX2 — on lesser
- *     hosts and SOV_SIMD=OFF builds the Simd tier degrades to the
- *     Fast loops and only the equivalence gates apply.
+ *     conv_floor= / icp_dechurn_floor= / fft_floor=). The vector SAD
+ *     must beat its scalar body by simd_floor= (default 1.5), enforced
+ *     only when the host actually runs AVX2 — on lesser hosts and
+ *     SOV_SIMD=OFF builds both sides run the scalar body and only the
+ *     equivalence gates apply. The GEMM and FFT vector rows report
+ *     their speedup without a floor.
  *
  * Results (ns per call, speedup, checksums) go to BENCH_kernels.json
  * via the shared bench harness.
  *
  * Usage:
  *   bench_kernels [smoke=1] [reps=N] [stereo_floor=X] [conv_floor=X]
- *                 [icp_floor=X] [icp_dechurn_floor=X] [fft_floor=X]
- *                 [simd_floor=X] [out=BENCH_kernels.json]
+ *                 [icp_dechurn_floor=X] [fft_floor=X] [simd_floor=X]
+ *                 [out=BENCH_kernels.json]
  */
 #include <cmath>
 #include <cstdint>
@@ -50,7 +47,8 @@
 #include "core/thread_pool.h"
 #include "harness.h"
 #include "math/fft_plan.h"
-#include "math/matrix.h"
+#include "math/gemm.h"
+#include "math/simd_kernels.h"
 #include "pointcloud/icp.h"
 #include "vision/cnn.h"
 #include "vision/renderer.h"
@@ -77,72 +75,6 @@ std::uint64_t
 fingerprint(const Tensor &t)
 {
     return fnv1a(t.data().data(), t.data().size() * sizeof(float));
-}
-
-/**
- * Verbatim replica of the pre-de-churn ICP accumulation — a 3×6
- * Matrix Jacobian with two heap-allocating small-matrix products per
- * correspondence per iteration. The icp_align row's 3× floor was set
- * against THIS loop; the in-tree Reference tier now replays its
- * rounding without the allocations (bit-identical transforms — the
- * row asserts that checksum equality every run), so the historical
- * cost has to be reproduced here to stay measurable.
- */
-IcpResult
-icpAlignHistorical(const PointCloud &source, const PointCloud &target,
-                   const KdTree &target_tree, const IcpConfig &config)
-{
-    IcpResult result;
-    const double max_d2 = config.max_correspondence_distance *
-        config.max_correspondence_distance;
-
-    for (std::size_t iter = 0; iter < config.max_iterations; ++iter) {
-        result.iterations = iter + 1;
-        Matrix jtj = Matrix::zero(6, 6);
-        Matrix jtr = Matrix::zero(6, 1);
-        double error_sum = 0.0;
-        std::size_t inliers = 0;
-
-        for (std::size_t i = 0; i < source.size(); ++i) {
-            const Vec3 p = result.transform.apply(source[i]);
-            const auto nn = target_tree.nearest(p);
-            if (!nn || nn->squared_distance > max_d2)
-                continue;
-            const Vec3 q = target[nn->index];
-            const Vec3 r = p - q;
-            error_sum += std::sqrt(nn->squared_distance);
-            ++inliers;
-
-            const Matrix skew_p = Matrix::skew(p);
-            Matrix j(3, 6);
-            j.setBlock(0, 0, skew_p * -1.0);
-            j.setBlock(0, 3, Matrix::identity(3));
-            const Matrix jt = j.transpose();
-            jtj += jt * j;
-            jtr += jt * Matrix::columnVector({r.x(), r.y(), r.z()});
-        }
-
-        if (inliers < 3)
-            break;
-        result.mean_error = error_sum / static_cast<double>(inliers);
-
-        for (std::size_t d = 0; d < 6; ++d)
-            jtj(d, d) += 1e-6;
-
-        const Matrix x = jtj.choleskySolve(jtr * -1.0);
-        const Vec3 theta(x.at(0), x.at(1), x.at(2));
-        const Vec3 dt(x.at(3), x.at(4), x.at(5));
-        result.transform.rotation =
-            (Quat::fromAxisAngle(theta) * result.transform.rotation)
-                .normalized();
-        result.transform.translation += dt;
-
-        if (x.norm() < config.convergence_threshold) {
-            result.converged = true;
-            break;
-        }
-    }
-    return result;
 }
 
 /** Snap to multiples of 1/256 — 8-bit sensor quantization, the domain
@@ -210,6 +142,47 @@ maxRelDiff(const Tensor &a, const Tensor &b)
     return worst;
 }
 
+/**
+ * One Fast primitive timed at SimdLevel::None (ref side) against the
+ * host's level (fast side). @p work runs the primitive at the given
+ * level from a fixed starting state; @p sum checksums its output. The
+ * sides alternate within each rep, so a host whose clock sags over
+ * consecutive runs taxes both alike, and best-of-N still picks each
+ * side's coolest rep.
+ */
+template <typename Work, typename Sum>
+KernelRow
+vectorRow(const char *name, double floor, int reps, SimdLevel level,
+          Work &&work, Sum &&sum)
+{
+    KernelRow row;
+    row.name = name;
+    row.floor = floor;
+    row.ref_ns = row.fast_ns = 1e30;
+    for (int rep = 0; rep < reps; ++rep) {
+        row.ref_ns = std::min(
+            row.ref_ns, bestNs(1, [&] { work(SimdLevel::None); }));
+        row.checksum_ref = sum();
+        row.fast_ns =
+            std::min(row.fast_ns, bestNs(1, [&] { work(level); }));
+        row.checksum_fast = sum();
+    }
+    row.equivalent = row.checksum_ref == row.checksum_fast;
+    row.speedup = row.ref_ns / row.fast_ns;
+    row.pass = row.equivalent && row.speedup >= row.floor;
+    return row;
+}
+
+/** @p n uniform floats in [-1, 1). */
+std::vector<float>
+randomFloats(std::size_t n, Rng &rng)
+{
+    std::vector<float> v(n);
+    for (auto &x : v)
+        x = static_cast<float>(rng.uniform(-1.0, 1.0));
+    return v;
+}
+
 } // namespace
 
 int
@@ -225,18 +198,14 @@ main(int argc, char **argv)
         config.getDouble("stereo_floor", smoke ? 1.3 : 3.0);
     const double conv_floor =
         config.getDouble("conv_floor", smoke ? 1.2 : 2.0);
-    const double icp_floor =
-        config.getDouble("icp_floor", smoke ? 1.3 : 3.0);
-    // Fast vs the in-tree (de-churned) Reference: the allocation fix
-    // already closed most of the historical gap, so the honest floor
-    // for what remains (warm-started NN + closed-form accumulator)
-    // is well under the headline 3×.
+    // Fast vs the in-tree (de-churned) Reference: what remains of the
+    // gap is warm-started NN + the closed-form accumulator.
     const double icp_dechurn_floor =
         config.getDouble("icp_dechurn_floor", smoke ? 1.1 : 1.2);
     const double fft_floor =
         config.getDouble("fft_floor", smoke ? 1.2 : 2.0);
-    // The Simd-vs-Fast floor only binds where the vector bodies
-    // actually run; everywhere else the tier IS the Fast code.
+    // The vector-vs-scalar SAD floor only binds where the AVX2 body
+    // actually runs; everywhere else both sides are the scalar body.
     const SimdLevel simd_level = detectSimdLevel();
     const double simd_floor = config.getDouble(
         "simd_floor",
@@ -303,41 +272,41 @@ main(int argc, char **argv)
         std::printf(" serial:%s -> %s\n", hex(row.checksum_fast).c_str(),
                     thread_fingerprints_ok ? "identical" : "MISMATCH");
 
-        // Simd tier: the vectorized SAD rounds identically to the Fast
-        // scalar loop, so the output must stay bit-identical to the
-        // Reference oracle; the speed floor binds on AVX2 hosts only.
-        cfg.backend = KernelBackend::Simd;
-        const StereoMatcher simd_matcher(cfg);
-        KernelRow srow;
-        srow.name = "stereo_match_simd";
-        srow.floor = simd_floor;
-        DisparityMap simd_map;
-        srow.ref_ns = row.fast_ns; // baseline is the Fast tier
-        srow.fast_ns = bestNs(reps, [&] {
-            simd_map = simd_matcher.match(left, right);
-        });
-        srow.checksum_ref = row.checksum_ref;
-        srow.checksum_fast = fingerprint(simd_map);
-        srow.equivalent = srow.checksum_fast == srow.checksum_ref;
-        srow.speedup = srow.ref_ns / srow.fast_ns;
-        srow.pass = srow.equivalent && srow.speedup >= srow.floor;
-        rows.push_back(srow);
-
-        // Determinism gate also covers the Simd tier.
-        std::printf("  simd thread fingerprints:");
-        for (const std::size_t threads : {1u, 2u, 8u}) {
-            ThreadPool pool(threads);
-            StereoMatcher pooled(cfg);
-            pooled.setThreadPool(&pool);
-            const std::uint64_t fp =
-                fingerprint(pooled.match(left, right));
-            std::printf(" %zu:%s", threads, hex(fp).c_str());
-            if (fp != srow.checksum_fast)
-                thread_fingerprints_ok = false;
-        }
-        std::printf(" serial:%s -> %s\n",
-                    hex(srow.checksum_fast).c_str(),
-                    thread_fingerprints_ok ? "identical" : "MISMATCH");
+        // The SAD column-sum update alone, scalar body vs the host's
+        // vector body, over the Fast matcher's table shape: D + 1
+        // disparity rows of span = w + 2r columns, every image row
+        // entering (absDiffAdd) and half of them leaving
+        // (absDiffSub).
+        const std::size_t span =
+            left.width() + static_cast<std::size_t>(2 * cfg.block_radius);
+        const auto d1 = static_cast<std::size_t>(
+            cfg.max_disparity + cfg.prior_margin + 1);
+        const std::size_t h = left.height();
+        Rng prng(53);
+        const std::vector<float> pad_l = randomFloats(h * span, prng);
+        const std::vector<float> pad_r =
+            randomFloats(h * (span + d1), prng);
+        std::vector<float> colsum(d1 * span);
+        rows.push_back(vectorRow(
+            "sad_vector", simd_floor, reps, simd_level,
+            [&](SimdLevel level) {
+                std::fill(colsum.begin(), colsum.end(), 0.0f);
+                for (std::size_t y = 0; y < h; ++y) {
+                    const float *a = pad_l.data() + y * span;
+                    const float *b = pad_r.data() + y * (span + d1);
+                    for (std::size_t d = 0; d < d1; ++d) {
+                        float *cs = colsum.data() + d * span;
+                        if (y < h / 2)
+                            simd::absDiffSub(cs, a, b + (d1 - 1 - d),
+                                             span, level);
+                        simd::absDiffAdd(cs, a, b + (d1 - 1 - d), span,
+                                         level);
+                    }
+                }
+            },
+            [&] {
+                return fnv1a(colsum.data(), colsum.size() * sizeof(float));
+            }));
     }
 
     // ----------------------------------------------------------- conv2d
@@ -398,28 +367,22 @@ main(int argc, char **argv)
         bwd.pass = bwd.equivalent;
         rows.push_back(bwd);
 
-        // Simd forward: gemmF32's axpy micro-row is element-wise, so
-        // the vectorized GEMM must reproduce the Fast output
-        // bit-for-bit. Speedup over Fast is reported, not floored —
-        // the im2col/copy overhead around the GEMM caps it on small
-        // shapes.
-        Rng wrng3(77);
-        Conv2d simd_conv(8, 16, 3, wrng3);
-        simd_conv.setBackend(KernelBackend::Simd);
-        Tensor simd_out;
-        KernelRow sfwd;
-        sfwd.name = "conv2d_forward_simd";
-        sfwd.floor = 0.0;
-        sfwd.ref_ns = fwd.fast_ns; // baseline is the Fast tier
-        sfwd.fast_ns = bestNs(conv_reps, [&] {
-            simd_out = simd_conv.forward(Tensor(input), true);
-        });
-        sfwd.checksum_ref = fwd.checksum_fast;
-        sfwd.checksum_fast = fingerprint(simd_out);
-        sfwd.equivalent = sfwd.checksum_fast == sfwd.checksum_ref;
-        sfwd.speedup = sfwd.ref_ns / sfwd.fast_ns;
-        sfwd.pass = sfwd.equivalent;
-        rows.push_back(sfwd);
+        // The forward GEMM alone (gemmF32 at the layer's shape:
+        // out_c x pixels x in_c·k²), scalar axpy micro-rows vs the
+        // host's vector body; the micro-row is element-wise, so the
+        // outputs must agree bit for bit.
+        const std::size_t m = 16, n = side * side, k = 8 * 3 * 3;
+        Rng grng(79);
+        const std::vector<float> ga = randomFloats(m * k, grng);
+        const std::vector<float> gb = randomFloats(k * n, grng);
+        std::vector<float> gc(m * n);
+        rows.push_back(vectorRow(
+            "gemm_vector", 0.0, conv_reps, simd_level,
+            [&](SimdLevel level) {
+                std::fill(gc.begin(), gc.end(), 0.0f);
+                gemmF32(m, n, k, ga.data(), gb.data(), gc.data(), level);
+            },
+            [&] { return fnv1a(gc.data(), gc.size() * sizeof(float)); }));
     }
 
     // -------------------------------------------------------- fft2d plan
@@ -457,6 +420,20 @@ main(int argc, char **argv)
         row.speedup = row.ref_ns / row.fast_ns;
         row.pass = row.equivalent && row.speedup >= row.floor;
         rows.push_back(row);
+
+        // The same planned round trip, scalar butterflies vs the
+        // host's vector body.
+        rows.push_back(vectorRow(
+            "fft_plan_vector", 0.0, fft_reps, simd_level,
+            [&](SimdLevel level) {
+                planned = signal;
+                plan.forward(planned.data(), level);
+                plan.inverse(planned.data(), level);
+            },
+            [&] {
+                return fnv1a(planned.data(),
+                             planned.size() * sizeof(Complex));
+            }));
     }
 
     // --------------------------------------------------------- icp align
@@ -496,104 +473,39 @@ main(int argc, char **argv)
                     .norm());
         };
 
-        // Each align is a few ms, so generous best-of reps are cheap —
-        // and the icp_align floor has the thinnest margin of any row
-        // on a noisy shared host, so the min must actually converge.
+        // Each align is a few ms, so generous best-of reps are cheap,
+        // and the two tiers alternate within each rep so a host whose
+        // clock sags over consecutive runs taxes both alike.
         const int icp_reps = smoke ? 3 : 15;
         IcpConfig ref_cfg;
         IcpConfig fast_cfg;
         fast_cfg.backend = KernelBackend::Fast;
-        IcpConfig simd_cfg;
-        simd_cfg.backend = KernelBackend::Simd;
 
-        IcpResult hist_r, ref_r, fast_r, simd_r;
-        // The four variants are timed round-robin within each rep, not
-        // in four back-to-back blocks: this host's clock sags over
-        // consecutive runs, so block order would tax whichever variant
-        // ran last (~10% on the thin icp_align margin). Interleaving
-        // walks every variant down the same thermal trajectory and
-        // best-of-N still picks each one's coolest rep.
-        const auto onceNs = [](auto &&f) {
-            const auto t0 = std::chrono::steady_clock::now();
-            f();
-            const auto t1 = std::chrono::steady_clock::now();
-            return static_cast<double>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    t1 - t0)
-                    .count());
-        };
-        double hist_ns = 1e30, ref_ns = 1e30, fast_ns = 1e30,
-               simd_ns = 1e30;
+        IcpResult ref_r, fast_r;
+        KernelRow row;
+        row.name = "icp_align_dechurn";
+        row.floor = icp_dechurn_floor;
+        row.ref_ns = row.fast_ns = 1e30;
         for (int rep = 0; rep < icp_reps; ++rep) {
-            hist_ns = std::min(hist_ns, onceNs([&] {
-                hist_r = icpAlignHistorical(source, target, tree,
-                                            ref_cfg);
-            }));
-            ref_ns = std::min(ref_ns, onceNs([&] {
+            row.ref_ns = std::min(row.ref_ns, bestNs(1, [&] {
                 ref_r = icpAlign(source, target, tree, {}, ref_cfg);
             }));
-            fast_ns = std::min(fast_ns, onceNs([&] {
+            row.fast_ns = std::min(row.fast_ns, bestNs(1, [&] {
                 fast_r = icpAlign(source, target, tree, {}, fast_cfg);
             }));
-            simd_ns = std::min(simd_ns, onceNs([&] {
-                simd_r = icpAlign(source, target, tree, {}, simd_cfg);
-            }));
         }
-
-        // The 3× floor row: Fast vs the historical Matrix-churn loop
-        // this PR replaced (the in-tree Reference replays its rounding
-        // allocation-free — asserted bitwise below — so the historical
-        // cost is replicated locally to stay measurable).
-        KernelRow row;
-        row.name = "icp_align";
-        row.floor = icp_floor;
-        row.ref_ns = hist_ns;
-        row.fast_ns = fast_ns;
         row.checksum_ref = transformChecksum(ref_r);
         row.checksum_fast = transformChecksum(fast_r);
         // Identical correspondences (nearestFast is exact); the normal
         // equations differ only in summation order, so the transforms
-        // agree to reassociation epsilon. The historical replica must
-        // agree with the de-churned Reference *bitwise*.
+        // agree to reassociation epsilon.
         row.max_rel_diff = transformDelta(ref_r, fast_r);
         row.equivalent = row.max_rel_diff <= 1e-9 &&
-            transformChecksum(hist_r) == row.checksum_ref &&
             ref_r.iterations == fast_r.iterations &&
             ref_r.converged == fast_r.converged;
         row.speedup = row.ref_ns / row.fast_ns;
         row.pass = row.equivalent && row.speedup >= row.floor;
         rows.push_back(row);
-
-        // The same Fast tier against the in-tree (de-churned)
-        // Reference — a tighter race, since the satellite fix already
-        // removed the baseline's allocations; the remaining win is
-        // warm-started NN + the closed-form accumulator.
-        KernelRow drow;
-        drow.name = "icp_align_dechurn";
-        drow.floor = icp_dechurn_floor;
-        drow.ref_ns = ref_ns;
-        drow.fast_ns = row.fast_ns;
-        drow.checksum_ref = row.checksum_ref;
-        drow.checksum_fast = row.checksum_fast;
-        drow.max_rel_diff = row.max_rel_diff;
-        drow.equivalent = row.equivalent;
-        drow.speedup = drow.ref_ns / drow.fast_ns;
-        drow.pass = drow.equivalent && drow.speedup >= drow.floor;
-        rows.push_back(drow);
-
-        KernelRow srow;
-        srow.name = "icp_align_simd";
-        srow.floor = 0.0; // equivalence-gated; speedup reported
-        srow.ref_ns = row.fast_ns; // baseline is the Fast tier
-        srow.fast_ns = simd_ns;
-        srow.checksum_ref = row.checksum_fast;
-        srow.checksum_fast = transformChecksum(simd_r);
-        srow.max_rel_diff = transformDelta(fast_r, simd_r);
-        srow.equivalent = srow.max_rel_diff <= 1e-9 &&
-            fast_r.iterations == simd_r.iterations;
-        srow.speedup = srow.ref_ns / srow.fast_ns;
-        srow.pass = srow.equivalent;
-        rows.push_back(srow);
     }
 
     // ----------------------------------------------------------- report

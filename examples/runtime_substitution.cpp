@@ -8,16 +8,14 @@
  * measurement. The topology, resource lanes and scheduler are shared;
  * only the per-stage executor changes.
  *
- * Run: ./runtime_substitution [scale=4] [frames=2] [backend=simd]
+ * Run: ./runtime_substitution [scale=4] [frames=2] [backend=fast]
  *                             [mode=sync] [faults=none]
  * `scale` maps host wall-clock into model time (the SoV's embedded
  * SoC is several times slower than a build machine). `backend`
- * selects the kernel tier; the default is the production Simd tier
- * (core/defaultKernelBackend()), which dispatches the vectorized
- * kernels of core/simd.h and falls back to the scalar Fast bodies on
- * hosts without SSE2/AVX2 with bit-identical output either way.
- * `backend=reference` runs the naive scalar oracles instead and
- * `backend=fast` the optimized scalar kernels (vision/kernels.h).
+ * selects the kernel tier (core/kernels.h): the default Fast tier
+ * runs the restructured kernels with the vector bodies the host
+ * supports (core/simd.h); `backend=reference` runs the naive scalar
+ * oracles instead.
  * `mode=async` additionally runs the analytic graph through the
  * asynchronous pipeline-parallel executor and reports the throughput
  * win. `faults=<preset>` (a fleet::faultMatrixPresets() name, e.g.
@@ -51,7 +49,7 @@ usage(const char *arg, const std::string &value)
     std::fprintf(stderr,
                  "runtime_substitution: unknown %s '%s'\n"
                  "usage: runtime_substitution [scale=4] [frames=2] "
-                 "[backend=reference|fast|simd] [mode=sync|async] "
+                 "[backend=reference|fast] [mode=sync|async] "
                  "[faults=none|<preset>]\n"
                  "fault presets:",
                  arg, value.c_str());
@@ -119,10 +117,8 @@ main(int argc, char **argv)
     // Validate enum-valued arguments up front: a typo must print the
     // usage line, not silently fall back (or abort inside the kernel
     // layer's fatal parser).
-    const std::string backend_name =
-        cfg.getString("backend", kernelBackendName(defaultKernelBackend()));
-    if (backend_name != "reference" && backend_name != "fast" &&
-        backend_name != "simd")
+    const std::string backend_name = cfg.getString("backend", "fast");
+    if (backend_name != "reference" && backend_name != "fast")
         return usage("backend", backend_name);
     const KernelBackend backend = kernelBackendFromName(backend_name);
     const std::string mode = cfg.getString("mode", "sync");

@@ -12,8 +12,6 @@ kernelBackendName(KernelBackend backend)
         return "reference";
     case KernelBackend::Fast:
         return "fast";
-    case KernelBackend::Simd:
-        return "simd";
     }
     SOV_PANIC("unknown kernel backend");
 }
@@ -25,15 +23,7 @@ kernelBackendFromName(const std::string &name)
         return KernelBackend::Reference;
     if (name == "fast")
         return KernelBackend::Fast;
-    if (name == "simd")
-        return KernelBackend::Simd;
     SOV_PANIC(("unknown kernel backend name: " + name).c_str());
-}
-
-KernelBackend
-defaultKernelBackend()
-{
-    return KernelBackend::Simd;
 }
 
 } // namespace sov

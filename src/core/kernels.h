@@ -9,26 +9,24 @@
  * so benchmarks, tests and the KernelExecutor-driven pipelines can
  * run either side of the comparison on the same inputs.
  *
- * Three tiers:
- *  - Reference — the naive scalar oracle. Never deleted; every other
- *    tier is gated against it.
- *  - Fast — algorithmically restructured scalar code (sliding
- *    windows, im2col, closed-form accumulation, precomputed FFT
- *    plans, FrameArena scratch).
- *  - Simd — the Fast structure with explicitly vectorized (SSE2 /
- *    AVX2) inner loops, dispatched at runtime via core/simd.h. On a
- *    host (or build: SOV_SIMD=OFF) without vector support the Simd
- *    tier silently degrades to the Fast scalar loops — safe, because
- *    every Simd loop is gated bit-identical (or documented-epsilon
- *    where vectorization reassociates a reduction) against Reference.
+ * Two tiers:
+ *  - Reference — the naive scalar oracle. Never deleted; Fast is
+ *    gated against it.
+ *  - Fast — algorithmically restructured code (sliding windows,
+ *    im2col, closed-form accumulation, precomputed FFT plans,
+ *    FrameArena scratch). Where a measured row shows the vector body
+ *    paying (stereo SAD, the GEMM micro-rows, the FFT butterflies;
+ *    see bench_kernels' *_vector rows) Fast dispatches it at the
+ *    level detectSimdLevel() reports (core/simd.h) — a property of
+ *    the host and build, not a user choice. The SOV_SIMD=OFF build
+ *    and pre-AVX2 hosts run the scalar bodies of the same loops.
  *
- * Determinism contract (Fast and Simd backends): outputs depend only
- * on the inputs and the kernel configuration — never on the thread
- * count of the ThreadPool executing it. Parallel kernels partition
- * work into fixed-size blocks (config-derived, not thread-derived)
- * and reduce results in block order. bench_kernels and
- * tests/vision/test_kernels enforce this with cross-thread-count
- * fingerprints.
+ * Determinism contract (Fast backend): outputs depend only on the
+ * inputs and the kernel configuration — never on the thread count of
+ * the ThreadPool executing it. Parallel kernels partition work into
+ * fixed-size blocks (config-derived, not thread-derived) and reduce
+ * results in block order. bench_kernels and tests/vision/test_kernels
+ * enforce this with cross-thread-count fingerprints.
  */
 #pragma once
 
@@ -40,24 +38,13 @@ namespace sov {
 enum class KernelBackend
 {
     Reference, //!< naive scalar oracle
-    Fast,      //!< optimized scalar (sliding-window / im2col / plan)
-    Simd,      //!< Fast structure + vectorized inner loops
+    Fast,      //!< restructured loops, platform-dispatched vector bodies
 };
 
-/** Canonical lowercase name ("reference" / "fast" / "simd"). */
+/** Canonical lowercase name ("reference" / "fast"). */
 const char *kernelBackendName(KernelBackend backend);
 
 /** Parse a backend name; fatal on anything else. */
 KernelBackend kernelBackendFromName(const std::string &name);
-
-/**
- * The production default tier: Simd. Closed-loop stacks and sweep
- * configs start here (runtime dispatch falls back to the Fast scalar
- * loops on hosts without vector support, so the default is safe
- * everywhere); per-kernel configs that exist to *gate* the tiers
- * (StereoConfig, DetectorConfig, ...) keep Reference as their default
- * so the oracle comparisons stay explicit.
- */
-KernelBackend defaultKernelBackend();
 
 } // namespace sov

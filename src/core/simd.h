@@ -1,21 +1,22 @@
 /**
  * @file
- * Runtime SIMD capability probe for the KernelBackend::Simd tier.
+ * Runtime SIMD capability probe for the Fast kernel tier.
  *
- * The Simd kernels are compiled per-function with
- * __attribute__((target("avx2"))) (and friends), so the binary itself
- * stays runnable on a baseline x86-64 — but a vector body must only
- * be *called* when the host actually supports the instruction set.
- * detectSimdLevel() answers that question once (cached, thread-safe
- * via static init) and every Simd dispatch site routes through it.
+ * The vector bodies (math/simd_kernels.h) are compiled per-function
+ * with __attribute__((target("avx2"))) (and friends), so the binary
+ * itself stays runnable on a baseline x86-64 — but a vector body must
+ * only be *called* when the host actually supports the instruction
+ * set. detectSimdLevel() answers that question once (cached,
+ * thread-safe via static init) and every Fast dispatch site routes
+ * through it.
  *
  * Two independent gates:
  *  - compile time: SOV_SIMD_ENABLED (CMake option SOV_SIMD, default
  *    ON) and an x86-64 target. When either is missing the vector
  *    bodies are not compiled at all and detectSimdLevel() reports
- *    None, so KernelBackend::Simd degrades to the Fast scalar loops.
+ *    None, so the Fast tier runs the scalar bodies of the same loops.
  *  - run time: __builtin_cpu_supports, so a binary built with the
- *    tier enabled still runs (scalar) on a pre-AVX2 host.
+ *    vector bodies still runs (scalar) on a pre-AVX2 host.
  */
 #pragma once
 

@@ -10,9 +10,9 @@
  * stage and direction, so a planned transform is bit-identical to the
  * ad-hoc oracle — tests/math/test_fft_plan.cpp gates on it. The
  * butterfly and normalization loops dispatch through
- * math/simd_kernels.h: SimdLevel::None runs the Fast scalar bodies,
- * Avx2 the vectorized ones (also bit-identical; see that header's
- * equivalence policy).
+ * math/simd_kernels.h: SimdLevel::None runs the scalar bodies, Avx2
+ * the vectorized ones (also bit-identical; see that header's
+ * equivalence policy). The KCF Fast tier passes detectSimdLevel().
  */
 #pragma once
 

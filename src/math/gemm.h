@@ -13,12 +13,14 @@
  * (up to FMA contraction, which the build does not enable on the
  * targets we support).
  *
- * The optional @p level runs the microkernels through the Simd tier
- * (math/simd_kernels.h). gemmF32/gemmTnF32 vectorize their j-loop
- * element-wise — bit-identical to the scalar path at any level —
- * while gemmNtF32's dot-product reduction is lane-reassociated at
- * Avx2: deterministic, but an epsilon away from scalar (callers gate
- * accordingly; conv backward already compares with a tolerance).
+ * @p level selects the microkernel body (math/simd_kernels.h): the
+ * Fast convolution passes detectSimdLevel(), tests and bench_kernels'
+ * gemm_vector row pass None to compare against the scalar body.
+ * gemmF32/gemmTnF32 vectorize their j-loop element-wise —
+ * bit-identical to the scalar path at any level — while gemmNtF32's
+ * dot-product reduction is lane-reassociated above None:
+ * deterministic, but an epsilon away from scalar (conv backward
+ * compares with a tolerance for this reason).
  */
 #pragma once
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Point-to-point ICP in three tiers (IcpConfig::backend).
+ * Point-to-point ICP in two tiers (IcpConfig::backend).
  *
  * Reference replays the original Matrix-based accumulation rounding
  * for rounding — per correspondence it forms J = [−skew(p) | I] in a
@@ -13,12 +13,11 @@
  *   JᵀJ = [[ (pᵀp)I − ppᵀ , skew(p) ], [ skew(p)ᵀ, n·I ]],
  *   Jᵀr = [ p × r , r ],
  * so one pass of sufficient statistics (Σ p_a p_b, Σ p, Σ p×r, Σ r —
- * simd::IcpStats) replaces the 3×6 Jacobian products entirely, and
- * correspondences come from KdTree::nearestFast (iterative,
- * leaf-ordered SoA scans). Simd runs the same pass with the AVX2
- * bodies. Both are an epsilon away from Reference (reassociated
- * sums); tests/pointcloud/test_icp_fast.cpp gates the transforms
- * against each other.
+ * IcpStats) replaces the 3×6 Jacobian products entirely, and
+ * correspondences come from KdTree::nearestBatch (iterative,
+ * leaf-ordered SoA scans). Fast is an epsilon away from Reference
+ * (reassociated sums); tests/pointcloud/test_icp_fast.cpp gates the
+ * transforms against each other.
  */
 #include "pointcloud/icp.h"
 
@@ -26,13 +25,48 @@
 #include <vector>
 
 #include "core/logging.h"
-#include "core/simd.h"
 #include "math/matrix.h"
-#include "math/simd_kernels.h"
 
 namespace sov {
 
 namespace {
+
+/**
+ * Sufficient statistics of one ICP Gauss-Newton pass: with
+ * J_i = [−skew(p_i) | I] the normal equations depend only on these
+ * sums (see the file comment). Field names: s<a><b> = Σ p_a·p_b,
+ * sp = Σ p, sc = Σ p×r, sr = Σ r.
+ */
+struct IcpStats
+{
+    double sxx = 0.0, syy = 0.0, szz = 0.0;
+    double sxy = 0.0, sxz = 0.0, syz = 0.0;
+    double spx = 0.0, spy = 0.0, spz = 0.0;
+    double scx = 0.0, scy = 0.0, scz = 0.0;
+    double srx = 0.0, sry = 0.0, srz = 0.0;
+
+    /** Add one correspondence: transformed source point (x, y, z)
+     *  and residual (ex, ey, ez) = p − q. */
+    void add(double x, double y, double z, double ex, double ey,
+             double ez)
+    {
+        sxx += x * x;
+        syy += y * y;
+        szz += z * z;
+        sxy += x * y;
+        sxz += x * z;
+        syz += y * z;
+        spx += x;
+        spy += y;
+        spz += z;
+        scx += y * ez - z * ey;
+        scy += z * ex - x * ez;
+        scz += x * ey - y * ex;
+        srx += ex;
+        sry += ey;
+        srz += ez;
+    }
+};
 
 /**
  * Solve the damped 6×6 normal equations and apply the pose update.
@@ -148,7 +182,7 @@ IcpResult
 icpAlignFast(const PointCloud &source, const PointCloud &target,
              const KdTree &target_tree,
              const RigidTransform &initial_guess,
-             const IcpConfig &config, SimdLevel level)
+             const IcpConfig &config)
 {
     IcpResult result;
     result.transform = initial_guess;
@@ -159,13 +193,10 @@ icpAlignFast(const PointCloud &source, const PointCloud &target,
     const std::size_t n = source.size();
 
     // Transformed source points (SoA) — the batch query input — and
-    // the correspondence batch (SoA) that feeds icpAccum: inlier
-    // points p and residuals r = p − q. Sized once, reused across
-    // iterations.
+    // the batch's answers. Sized once, reused across iterations.
     std::vector<double> tx(n), ty(n), tz(n);
     std::vector<std::uint32_t> nn_index(n);
     std::vector<double> nn_d2(n);
-    std::vector<double> px(n), py(n), pz(n), rx(n), ry(n), rz(n);
 
     // Warm-start seeds: each point's previous-iteration nearest
     // neighbor. The pose moves a little per iteration, so the old
@@ -204,15 +235,14 @@ icpAlignFast(const PointCloud &source, const PointCloud &target,
                 R[2][2] * s0.z() + tr.z();
         }
 
-        // All correspondences in one interleaved-traversal call;
-        // results are bitwise what per-point nearestFast would return
-        // (kdtree.h).
+        // All correspondences in one batch call; results are bitwise
+        // what per-point nearestFast would return (kdtree.h).
         target_tree.nearestBatch(tx.data(), ty.data(), tz.data(), n,
                                  seeds.data(), nn_index.data(),
-                                 nn_d2.data(), level,
-                                 config.approx_nn_epsilon);
+                                 nn_d2.data(), config.approx_nn_epsilon);
 
-        std::size_t m = 0;
+        IcpStats s;
+        std::size_t inliers = 0;
         for (std::size_t i = 0; i < n; ++i) {
             if (nn_index[i] == KdTree::kNoSeed)
                 continue;
@@ -221,24 +251,15 @@ icpAlignFast(const PointCloud &source, const PointCloud &target,
                 continue;
             const Vec3 q = target[nn_index[i]];
             error_sum += std::sqrt(nn_d2[i]);
-            px[m] = tx[i];
-            py[m] = ty[i];
-            pz[m] = tz[i];
-            rx[m] = tx[i] - q.x();
-            ry[m] = ty[i] - q.y();
-            rz[m] = tz[i] - q.z();
-            ++m;
+            s.add(tx[i], ty[i], tz[i], tx[i] - q.x(), ty[i] - q.y(),
+                  tz[i] - q.z());
+            ++inliers;
         }
 
-        const std::size_t inliers = m;
         if (inliers < 3)
             break; // degenerate; keep the current estimate
         result.mean_error =
             error_sum / static_cast<double>(inliers);
-
-        simd::IcpStats s;
-        simd::icpAccum(px.data(), py.data(), pz.data(), rx.data(),
-                       ry.data(), rz.data(), inliers, s, level);
 
         // Closed-form assembly (see file comment): top-left
         // (pᵀp)I − ppᵀ, top-right Σ skew(p), bottom-right n·I.
@@ -276,11 +297,8 @@ icpAlign(const PointCloud &source, const PointCloud &target,
     if (config.backend == KernelBackend::Reference || trace)
         return icpAlignReference(source, target, target_tree,
                                  initial_guess, config, trace);
-    const SimdLevel level = config.backend == KernelBackend::Simd
-        ? detectSimdLevel()
-        : SimdLevel::None;
     return icpAlignFast(source, target, target_tree, initial_guess,
-                        config, level);
+                        config);
 }
 
 } // namespace sov

@@ -37,14 +37,13 @@ struct IcpConfig
     /**
      * Implementation tier (core/kernels.h). Reference accumulates the
      * normal equations term-by-term; Fast batches correspondences
-     * through KdTree::nearestFast and a closed-form JᵀJ/Jᵀr
-     * assembly; Simd additionally vectorizes the leaf scans and the
-     * accumulation. Runs with a MemTrace always take the Reference
+     * through KdTree::nearestBatch and a closed-form JᵀJ/Jᵀr
+     * assembly. Runs with a MemTrace always take the Reference
      * path — the Fig. 4 experiments need its touch hooks.
      */
     KernelBackend backend = KernelBackend::Reference;
     /**
-     * Fast/Simd: approximate-nearest-neighbor bound ε forwarded to
+     * Fast: approximate-nearest-neighbor bound ε forwarded to
      * KdTree::nearestFast (0 = exact search, identical
      * correspondences to Reference).
      */

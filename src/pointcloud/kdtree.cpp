@@ -2,38 +2,21 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "core/logging.h"
-#include "math/simd_kernels.h"
 
 namespace sov {
 
 namespace {
 
-/**
- * Scalar leaf scan, inlined for the SimdLevel::None tier: rounds
- * exactly like simd::nearestLeaf's scalar body (left-associated sum,
- * strict improvement — which the vector paths replay bit-for-bit), so
- * the tiers stay bitwise interchangeable while the None path skips a
- * cross-TU call plus level dispatch per leaf — real money on
- * kLeafSize-point leaves visited once per query.
- */
-inline void
-scanLeafInline(const double *xs, const double *ys, const double *zs,
-               std::size_t n, const double qc[3], double &best_d2,
-               std::size_t &best_off)
+/** With ε > 0 a far subtree is only visited when it could beat the
+ *  best by more than (1+ε) in distance: delta² < best/(1+ε)². */
+double
+pruneScale(double approx_epsilon)
 {
-    for (std::size_t i = 0; i < n; ++i) {
-        const double dx = xs[i] - qc[0];
-        const double dy = ys[i] - qc[1];
-        const double dz = zs[i] - qc[2];
-        const double d2 = dx * dx + dy * dy + dz * dz;
-        if (d2 < best_d2) {
-            best_d2 = d2;
-            best_off = i;
-        }
-    }
+    return 1.0 / ((1.0 + approx_epsilon) * (1.0 + approx_epsilon));
 }
 
 } // namespace
@@ -190,10 +173,41 @@ KdTree::searchNearest(std::int32_t node_id, const Vec3 &query,
         searchNearest(far, query, best, trace);
 }
 
+/**
+ * Leaf scan over the SoA coordinates: track the strictly closest of
+ * the leaf's points (first strict improvement wins ties), rounding
+ * like Vec3::squaredNorm's left-associated sum so the result is
+ * bitwise the recursive oracle's. Inlined into every caller: a call
+ * per leaf is real money on kLeafSize-point leaves visited once per
+ * query.
+ */
+inline void
+KdTree::scanLeafNode(const Node &leaf, const double qc[3],
+                     Neighbor &best) const
+{
+    const double *xs = leaf_x_.data() + leaf.begin;
+    const double *ys = leaf_y_.data() + leaf.begin;
+    const double *zs = leaf_z_.data() + leaf.begin;
+    const std::size_t n = leaf.end - leaf.begin;
+    double best_d2 = best.squared_distance;
+    std::size_t best_off = n;
+    for (std::size_t i = 0; i < n; ++i) {
+        const double dx = xs[i] - qc[0];
+        const double dy = ys[i] - qc[1];
+        const double dz = zs[i] - qc[2];
+        const double d2 = dx * dx + dy * dy + dz * dz;
+        if (d2 < best_d2) {
+            best_d2 = d2;
+            best_off = i;
+        }
+    }
+    if (best_off != n)
+        best = Neighbor{indices_[leaf.begin + best_off], best_d2};
+}
+
 void
 KdTree::descendNearest(std::int32_t node_id, const double qc[3],
-                       Neighbor &best, double prune_scale,
-                       SimdLevel level) const
+                       Neighbor &best, double prune_scale) const
 {
     // Deferred far subtrees, deepest on top — popping them after the
     // near descent replays the recursive near/far visit order exactly,
@@ -228,23 +242,7 @@ KdTree::descendNearest(std::int32_t node_id, const double qc[3],
             continue;
         }
 
-        double best_d2 = best.squared_distance;
-        std::size_t off = simd::kNoImprovement;
-        if (level == SimdLevel::None)
-            scanLeafInline(leaf_x_.data() + node.begin,
-                           leaf_y_.data() + node.begin,
-                           leaf_z_.data() + node.begin,
-                           node.end - node.begin, qc, best_d2, off);
-        else
-            simd::nearestLeaf(leaf_x_.data() + node.begin,
-                              leaf_y_.data() + node.begin,
-                              leaf_z_.data() + node.begin,
-                              node.end - node.begin, qc[0], qc[1],
-                              qc[2], best_d2, off, level);
-        if (off != simd::kNoImprovement)
-            best = Neighbor{indices_[node.begin +
-                                     static_cast<std::uint32_t>(off)],
-                            best_d2};
+        scanLeafNode(node, qc, best);
 
         // Unwind: first deferred subtree still worth visiting.
         for (;;) {
@@ -259,24 +257,13 @@ KdTree::descendNearest(std::int32_t node_id, const double qc[3],
     }
 }
 
-std::optional<Neighbor>
-KdTree::nearestFast(const Vec3 &query, SimdLevel level,
-                    double approx_epsilon,
-                    std::uint32_t seed_index) const
+inline Neighbor
+KdTree::nearestQuery(const double qc[3], std::uint32_t seed_index,
+                     double prune_scale) const
 {
-    if (root_ < 0)
-        return std::nullopt;
-
-    // With ε > 0 a far subtree is only visited when it could beat the
-    // best by more than (1+ε) in distance: delta² < best/(1+ε)².
-    const double prune_scale =
-        1.0 / ((1.0 + approx_epsilon) * (1.0 + approx_epsilon));
-
     Neighbor best{0, std::numeric_limits<double>::max()};
-    const double qc[3] = {query.x(), query.y(), query.z()};
-
     if (seed_index == kNoSeed || seed_index >= cloud_.size()) {
-        descendNearest(root_, qc, best, prune_scale, level);
+        descendNearest(root_, qc, best, prune_scale);
         return best;
     }
 
@@ -302,24 +289,7 @@ KdTree::nearestFast(const Vec3 &query, SimdLevel level,
     }
 
     const std::int32_t leaf_id = leaf_of_point_[seed_index];
-    const Node &leaf = nodes_[leaf_id];
-    double best_d2 = best.squared_distance;
-    std::size_t off = simd::kNoImprovement;
-    if (level == SimdLevel::None)
-        scanLeafInline(leaf_x_.data() + leaf.begin,
-                       leaf_y_.data() + leaf.begin,
-                       leaf_z_.data() + leaf.begin,
-                       leaf.end - leaf.begin, qc, best_d2, off);
-    else
-        simd::nearestLeaf(leaf_x_.data() + leaf.begin,
-                          leaf_y_.data() + leaf.begin,
-                          leaf_z_.data() + leaf.begin,
-                          leaf.end - leaf.begin, qc[0], qc[1], qc[2],
-                          best_d2, off, level);
-    if (off != simd::kNoImprovement)
-        best = Neighbor{
-            indices_[leaf.begin + static_cast<std::uint32_t>(off)],
-            best_d2};
+    scanLeafNode(nodes_[leaf_id], qc, best);
 
     const PathEntry *entry = path_entries_.data() + path_begin_[leaf_id];
     const PathEntry *end = entry + path_count_[leaf_id];
@@ -331,9 +301,19 @@ KdTree::nearestFast(const Vec3 &query, SimdLevel level,
             entry->via_left ? delta > 0.0 : delta <= 0.0;
         if (wrong_side ||
             delta * delta < best.squared_distance * prune_scale)
-            descendNearest(entry->far, qc, best, prune_scale, level);
+            descendNearest(entry->far, qc, best, prune_scale);
     }
     return best;
+}
+
+std::optional<Neighbor>
+KdTree::nearestFast(const Vec3 &query, double approx_epsilon,
+                    std::uint32_t seed_index) const
+{
+    if (root_ < 0)
+        return std::nullopt;
+    const double qc[3] = {query.x(), query.y(), query.z()};
+    return nearestQuery(qc, seed_index, pruneScale(approx_epsilon));
 }
 
 void
@@ -341,7 +321,7 @@ KdTree::nearestBatch(const double *qx, const double *qy,
                      const double *qz, std::size_t n,
                      const std::uint32_t *seeds,
                      std::uint32_t *out_index, double *out_d2,
-                     SimdLevel level, double approx_epsilon) const
+                     double approx_epsilon) const
 {
     if (root_ < 0) {
         for (std::size_t i = 0; i < n; ++i) {
@@ -355,63 +335,15 @@ KdTree::nearestBatch(const double *qx, const double *qy,
     // deferred stack — in registers; measured against that, software
     // round-robin interleaving of several traversals spills every
     // lane's state to the stack and runs ~2× slower per query. So the
-    // batch runs queries back to back, and its win over caller-side
-    // nearestFast calls is the inlined per-query setup (no Vec3 or
-    // optional round trips) on top of the SoA-friendly interface.
-    // The body below IS nearestFast's seeded/unseeded logic verbatim,
-    // so results are bitwise identical to sequential calls.
-    const double prune_scale =
-        1.0 / ((1.0 + approx_epsilon) * (1.0 + approx_epsilon));
-    const std::size_t cloud_size = cloud_.size();
+    // batch runs queries back to back through nearestFast's own body
+    // (nearestQuery, inlined here), and its win over caller-side
+    // nearestFast calls is the per-query setup it skips (no Vec3 or
+    // optional round trips); results are bitwise identical.
+    const double prune_scale = pruneScale(approx_epsilon);
     for (std::size_t i = 0; i < n; ++i) {
         const double qc[3] = {qx[i], qy[i], qz[i]};
-        Neighbor best{0, std::numeric_limits<double>::max()};
-        const std::uint32_t seed = seeds ? seeds[i] : kNoSeed;
-        if (seed == kNoSeed || seed >= cloud_size) {
-            descendNearest(root_, qc, best, prune_scale, level);
-            out_index[i] = best.index;
-            out_d2[i] = best.squared_distance;
-            continue;
-        }
-
-        const Vec3 &s = cloud_[seed];
-        const double dx = s.x() - qc[0];
-        const double dy = s.y() - qc[1];
-        const double dz = s.z() - qc[2];
-        best = Neighbor{seed, dx * dx + dy * dy + dz * dz};
-
-        const std::int32_t leaf_id = leaf_of_point_[seed];
-        const Node &leaf = nodes_[leaf_id];
-        double best_d2 = best.squared_distance;
-        std::size_t off = simd::kNoImprovement;
-        if (level == SimdLevel::None)
-            scanLeafInline(leaf_x_.data() + leaf.begin,
-                           leaf_y_.data() + leaf.begin,
-                           leaf_z_.data() + leaf.begin,
-                           leaf.end - leaf.begin, qc, best_d2, off);
-        else
-            simd::nearestLeaf(leaf_x_.data() + leaf.begin,
-                              leaf_y_.data() + leaf.begin,
-                              leaf_z_.data() + leaf.begin,
-                              leaf.end - leaf.begin, qc[0], qc[1],
-                              qc[2], best_d2, off, level);
-        if (off != simd::kNoImprovement)
-            best = Neighbor{
-                indices_[leaf.begin + static_cast<std::uint32_t>(off)],
-                best_d2};
-
-        const PathEntry *entry =
-            path_entries_.data() + path_begin_[leaf_id];
-        const PathEntry *end = entry + path_count_[leaf_id];
-        for (; entry != end; ++entry) {
-            const double delta = qc[entry->dim] - entry->split;
-            const bool wrong_side =
-                entry->via_left ? delta > 0.0 : delta <= 0.0;
-            if (wrong_side ||
-                delta * delta < best.squared_distance * prune_scale)
-                descendNearest(entry->far, qc, best, prune_scale,
-                               level);
-        }
+        const Neighbor best =
+            nearestQuery(qc, seeds ? seeds[i] : kNoSeed, prune_scale);
         out_index[i] = best.index;
         out_d2[i] = best.squared_distance;
     }

@@ -14,7 +14,6 @@
 #include <optional>
 #include <vector>
 
-#include "core/simd.h"
 #include "memsim/mem_trace.h"
 #include "pointcloud/point_cloud.h"
 
@@ -42,7 +41,7 @@ class KdTree
                                     MemTrace *trace = nullptr) const;
 
     /**
-     * Cache-friendly nearest for the ICP Fast/Simd tiers: iterative
+     * Cache-friendly nearest for the ICP Fast tier: iterative
      * traversal (explicit stack, no recursion or trace branches) over
      * leaf-ordered SoA coordinates, so leaf scans run contiguously
      * instead of chasing indices into the cloud. The traversal visits
@@ -50,8 +49,6 @@ class KdTree
      * distances round identically, so with @p approx_epsilon == 0 the
      * result is bit-identical to nearest() — ties included.
      *
-     * @param level Vector level of the leaf scan (bit-identical at
-     *        every level; see math/simd_kernels.h).
      * @param approx_epsilon Approximate-NN bound: subtrees are pruned
      *        unless they could beat the current best by more than a
      *        (1+ε) factor in distance; the returned neighbor is within
@@ -64,8 +61,7 @@ class KdTree
      *        ICP passes each point's previous-iteration correspondence.
      */
     std::optional<Neighbor>
-    nearestFast(const Vec3 &query, SimdLevel level = SimdLevel::None,
-                double approx_epsilon = 0.0,
+    nearestFast(const Vec3 &query, double approx_epsilon = 0.0,
                 std::uint32_t seed_index = kNoSeed) const;
 
     /** Sentinel for nearestFast's seed_index: no warm start. */
@@ -88,7 +84,6 @@ class KdTree
                       const double *qz, std::size_t n,
                       const std::uint32_t *seeds,
                       std::uint32_t *out_index, double *out_d2,
-                      SimdLevel level = SimdLevel::None,
                       double approx_epsilon = 0.0) const;
 
     /** All points within @p radius of @p query (unsorted). */
@@ -141,11 +136,17 @@ class KdTree
 
     void searchNearest(std::int32_t node, const Vec3 &query,
                        Neighbor &best, MemTrace *trace) const;
+    /** Scan leaf @p leaf's points, tightening @p best in place. */
+    void scanLeafNode(const Node &leaf, const double qc[3],
+                      Neighbor &best) const;
     /** Iterative top-down nearest over the subtree at @p node_id,
      *  tightening @p best in place (the nearestFast core loop). */
     void descendNearest(std::int32_t node_id, const double qc[3],
-                        Neighbor &best, double prune_scale,
-                        SimdLevel level) const;
+                        Neighbor &best, double prune_scale) const;
+    /** One nearestFast query at coordinates @p qc; the shared body of
+     *  nearestFast and nearestBatch. Requires a non-empty tree. */
+    Neighbor nearestQuery(const double qc[3], std::uint32_t seed_index,
+                          double prune_scale) const;
     void searchRadius(std::int32_t node, const Vec3 &query, double radius2,
                       std::vector<Neighbor> &out, MemTrace *trace) const;
     void searchKNearest(std::int32_t node, const Vec3 &query, std::size_t k,

@@ -197,8 +197,8 @@ struct RunResult
  *    releases one frame per planning cycle and transmits the actuation
  *    command from the completion callback);
  *  - the static run() convenience, which owns a private Simulator and
- *    releases a fixed number of frames (batch characterization and the
- *    TaskGraph scheduling front-end);
+ *    releases a fixed number of frames (batch characterization and
+ *    bench_ablation_pipelining's pipelined schedules);
  *  - the static runAsync() convenience: admission-windowed pipeline
  *    parallelism with recycled per-frame state (bench_dataflow and the
  *    throughput side of the Fig. 5 characterizations).

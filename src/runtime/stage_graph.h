@@ -7,9 +7,8 @@
  * lanes), dependencies, and a pluggable StageExecutor — and is then
  * retargeted to different execution substrates: analytic single-shot
  * characterization, pipelined throughput scheduling, closed-loop
- * event-driven execution, or measured kernel runs. The three former
- * per-experiment DAG encodings (runtime/task_graph,
- * sovpipe/pipeline_model, sovpipe/closed_loop) are all front-ends over
+ * event-driven execution, or measured kernel runs.
+ * sovpipe/pipeline_model and sovpipe/closed_loop are front-ends over
  * this type.
  */
 #pragma once

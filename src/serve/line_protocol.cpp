@@ -1,6 +1,7 @@
 #include "serve/line_protocol.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -133,8 +134,8 @@ double paramDouble(const Request &request, const std::string &key,
         return fallback;
     char *end = nullptr;
     const double value = std::strtod(it->second.c_str(), &end);
-    if (end == it->second.c_str() || *end != '\0')
-        return fallback;
+    if (end == it->second.c_str() || *end != '\0' || !std::isfinite(value))
+        throw BadParam(key);
     return value;
 }
 

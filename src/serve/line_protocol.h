@@ -70,12 +70,21 @@ class BadParam : public std::invalid_argument
     }
 };
 
-/** Typed option access with fallbacks (missing or malformed ->
- *  fallback). */
+/** Longest simulated horizon a SUBMIT may ask for (s). */
+inline constexpr double kMaxHorizonS = 3600.0;
+
+/** Longest SUBMIT deadline_s and WAIT timeout_s (s): one week. Far
+ *  above any real wait (serve_client waits with timeout_s=86400), far
+ *  below what overflows the steady_clock conversion. */
+inline constexpr double kMaxWaitS = 7.0 * 86400.0;
+
+/** Typed option access: a missing key reads as @p fallback; text
+ *  that is not one finite number throws BadParam. */
 double paramDouble(const Request &request, const std::string &key,
                    double fallback);
-/** As paramDouble, but a negative or out-of-range number throws
- *  BadParam: strtoull would wrap "-1" to 2^64 - 1. */
+/** Unsigned option: missing or malformed reads as @p fallback; a
+ *  negative or out-of-range number throws BadParam (strtoull would
+ *  wrap "-1" to 2^64 - 1). */
 std::uint64_t paramU64(const Request &request, const std::string &key,
                        std::uint64_t fallback);
 

@@ -188,8 +188,17 @@ void SocketServer::connectionLoop(int fd)
             return; // peer closed or stop() shut the fd down
         }
         buffer.append(chunk, static_cast<std::size_t>(n));
-        std::size_t newline;
-        while ((newline = buffer.find('\n')) != std::string::npos) {
+        for (;;) {
+            // A line — terminated or still arriving — may not grow the
+            // buffer without bound.
+            const std::size_t newline = buffer.find('\n');
+            const bool complete = newline != std::string::npos;
+            if ((complete ? newline : buffer.size()) > kMaxLineBytes) {
+                sendAll(fd, "ERR line_too_long\n");
+                return;
+            }
+            if (!complete)
+                break;
             std::string line = buffer.substr(0, newline);
             buffer.erase(0, newline + 1);
             if (!line.empty() && line.back() == '\r')
@@ -266,6 +275,11 @@ bool SocketServer::dispatch(const Request &request,
             paramU64(request, "seeds", params.seeds));
         params.horizon_s =
             paramDouble(request, "horizon_s", params.horizon_s);
+        if (params.horizon_s <= 0.0 || params.horizon_s > kMaxHorizonS)
+            throw BadParam("horizon_s");
+        const double deadline = paramDouble(request, "deadline_s", -1.0);
+        if (deadline > kMaxWaitS)
+            throw BadParam("deadline_s");
         if (!catalog_.has(request.set)) {
             out.push_back("ERR unknown_set " + request.set);
             return true;
@@ -287,7 +301,6 @@ bool SocketServer::dispatch(const Request &request,
         const auto label = request.params.find("label");
         if (label != request.params.end())
             job.label = label->second;
-        const double deadline = paramDouble(request, "deadline_s", -1.0);
         if (deadline > 0.0)
             job.deadline_s = deadline;
         const SubmitResult result = service_.submit(std::move(job));
@@ -321,6 +334,8 @@ bool SocketServer::dispatch(const Request &request,
     }
     case Verb::Wait: {
         const double timeout = paramDouble(request, "timeout_s", -1.0);
+        if (timeout > kMaxWaitS)
+            throw BadParam("timeout_s");
         const auto snapshot = service_.wait(request.job, timeout);
         if (!snapshot) {
             out.push_back("ERR unknown_job " + std::to_string(request.job));

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -30,6 +31,12 @@
 namespace sov::serve {
 
 struct Request;
+
+/** Longest request line a connection may send (bytes before the
+ *  newline). A longer one — terminated or not — is answered
+ *  "ERR line_too_long" and the connection is closed, so no peer can
+ *  grow the server's line buffer without bound. */
+inline constexpr std::size_t kMaxLineBytes = 8192;
 
 /** Transport provisioning; empty/negative fields disable a listener. */
 struct SocketServerConfig

@@ -190,9 +190,7 @@ Conv2d::forwardFast(const Tensor &input, Tensor &out)
     float *od = out.data().data();
     for (std::size_t o = 0; o < out_c_; ++o)
         std::fill_n(od + o * n, n, bias_[o]);
-    gemmF32(out_c_, n, kk, weights_.data(), col, od,
-            backend_ == KernelBackend::Simd ? detectSimdLevel()
-                                            : SimdLevel::None);
+    gemmF32(out_c_, n, kk, weights_.data(), col, od, detectSimdLevel());
 }
 
 Tensor
@@ -271,9 +269,7 @@ Conv2d::backwardFast(const Tensor &grad_output)
         grad_bias_[o] += acc;
     }
 
-    const SimdLevel level = backend_ == KernelBackend::Simd
-        ? detectSimdLevel()
-        : SimdLevel::None;
+    const SimdLevel level = detectSimdLevel();
 
     // dW += dOut [out_c x n] * col^T  (col stored row-major [kk x n]).
     gemmNtF32(out_c_, kk, n, go, col, grad_weights_.data(), level);

@@ -3,15 +3,13 @@
 #include <cmath>
 
 #include "core/logging.h"
+#include "core/simd.h"
 #include "core/stats.h"
 
 namespace sov {
 
 KcfTracker::KcfTracker(const KcfConfig &config)
-    : config_(config),
-      level_(config.backend == KernelBackend::Simd ? detectSimdLevel()
-                                                   : SimdLevel::None),
-      plan_(config.window, config.window)
+    : config_(config), plan_(config.window, config.window)
 {
     SOV_ASSERT(isPowerOfTwo(config.window));
     const std::size_t n = config_.window;
@@ -58,9 +56,9 @@ KcfTracker::transform(std::vector<Complex> &data, bool inverse)
         return;
     }
     if (inverse)
-        plan_.inverse(data.data(), level_);
+        plan_.inverse(data.data(), detectSimdLevel());
     else
-        plan_.forward(data.data(), level_);
+        plan_.forward(data.data(), detectSimdLevel());
 }
 
 void

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/kernels.h"
-#include "core/simd.h"
 #include "math/fft.h"
 #include "math/fft_plan.h"
 #include "vision/image.h"
@@ -32,8 +31,8 @@ struct KcfConfig
      * Implementation tier (core/kernels.h). Reference runs every
      * transform through the ad-hoc fft2d(); Fast routes them through a
      * precomputed Fft2dPlan with reused patch/response buffers, so
-     * steady-state frames perform no heap allocation; Simd additionally
-     * runs the butterfly loops vectorized. All three tiers are
+     * steady-state frames perform no heap allocation, and runs the
+     * butterfly loops at the host's vector level. Both tiers are
      * bit-identical (the plan replays the ad-hoc twiddle rounding and
      * the vector butterflies round like the scalar ones).
      */
@@ -78,13 +77,12 @@ class KcfTracker
     void transform(std::vector<Complex> &data, bool inverse);
 
     KcfConfig config_;
-    SimdLevel level_ = SimdLevel::None; //!< resolved once from backend
-    Fft2dPlan plan_;                 //!< planned FFT for Fast/Simd
+    Fft2dPlan plan_;                 //!< planned FFT for Fast
     std::vector<double> hann_;       //!< 2-D Hann window (w*w)
     std::vector<Complex> target_fft_; //!< Gaussian label spectrum
     std::vector<Complex> numerator_;
     std::vector<Complex> denominator_;
-    // Scratch reused across frames so Fast/Simd updates are
+    // Scratch reused across frames so Fast updates are
     // allocation-free in steady state.
     std::vector<double> values_;
     std::vector<Complex> f_;

@@ -57,7 +57,7 @@ struct FastParams
     int D = 0;    //!< largest tabulated disparity (max_disparity + margin)
     int span = 0; //!< padded column range: w + 2r
     int n = 0;    //!< window element count (2r+1)^2
-    /** Vector level of the SAD inner loop (None for the Fast tier). */
+    /** Vector level of the SAD inner loop (detectSimdLevel()). */
     SimdLevel simd = SimdLevel::None;
 };
 
@@ -109,9 +109,9 @@ fillPaddedRows(const Image &left, const Image &right, const FastParams &p,
 
 /**
  * colsum_d(x) (+/-)= |L(x, yc) - R(x-d, yc)| for the padded row — the
- * SAD hot loop. Dispatches through the shared Simd-tier primitive:
- * p.simd == None runs its scalar body (the Fast tier), SSE2/AVX2 the
- * vector ones, all bit-identical per element.
+ * SAD hot loop. Dispatches through the shared primitive at the host's
+ * level (math/simd_kernels.h); every body is bit-identical per
+ * element.
  */
 template <bool Add>
 void
@@ -286,8 +286,7 @@ makeParams(const Image &left, const StereoConfig &config)
     p.D = config.max_disparity + config.prior_margin;
     p.span = p.w + 2 * p.r;
     p.n = (2 * p.r + 1) * (2 * p.r + 1);
-    p.simd = config.backend == KernelBackend::Simd ? detectSimdLevel()
-                                                   : SimdLevel::None;
+    p.simd = detectSimdLevel();
     return p;
 }
 
@@ -360,11 +359,11 @@ invDist2Table()
 }
 
 /**
- * One support row of the Simd tier's windowed prior scan: the
- * supports with a fixed dy, plus the sliding [b, e) range of those
- * inside this pixel's x-window. |dx| <= reach ⇔ dx² + dy² + 1 <= 1600,
- * exactly — integer arithmetic on both sides — so the window admits
- * precisely the candidates the Fast tier's distance test keeps.
+ * One support row of the windowed prior scan: the supports with a
+ * fixed dy, plus the sliding [b, e) range of those inside this
+ * pixel's x-window. |dx| <= reach ⇔ dx² + dy² + 1 <= 1600, exactly —
+ * integer arithmetic on both sides — so the window admits precisely
+ * the candidates the reference's 40 px distance test keeps.
  */
 struct PriorRow
 {
@@ -413,93 +412,61 @@ StereoMatcher::matchFast(const Image &left, const Image &right) const
             // supports are sorted by y, so a contiguous index range
             // covers exactly the points the reference loop keeps (in
             // the same order — the weighted sums round identically).
-            const auto lo = std::lower_bound(
-                supports.begin(), supports.end(), y - 39,
-                [](const SupportPoint &sp, int yy) { return sp.y < yy; });
-            const auto hi = std::upper_bound(
-                supports.begin(), supports.end(), y + 39,
-                [](int yy, const SupportPoint &sp) { return yy < sp.y; });
-
-            // Simd tier: the same weighted sums in the same order,
-            // but each support row keeps a two-pointer x-window (the
+            // Each support row then keeps a two-pointer x-window (the
             // circle test degenerates to |dx| <= reach per row) so
             // rejected candidates are never visited, and the integer
             // -valued 1/dist² weight comes from a table. Both
-            // restructurings are bit-exact, so the tiers still share
-            // one checksum; the Fast tier deliberately keeps the
-            // original scan as the gated baseline in bench_kernels.
-            const bool windowed =
-                config_.backend == KernelBackend::Simd;
+            // restructurings are bit-exact.
+            const SupportPoint *first = supports.data();
+            const SupportPoint *last = first + supports.size();
+            const SupportPoint *lo = std::lower_bound(
+                first, last, y - 39,
+                [](const SupportPoint &sp, int yy) { return sp.y < yy; });
+            const SupportPoint *hi = std::upper_bound(
+                first, last, y + 39,
+                [](int yy, const SupportPoint &sp) { return yy < sp.y; });
             PriorRow prior_rows[80];
             std::size_t nrows = 0;
-            if (windowed) {
-                const SupportPoint *base = supports.data();
-                const SupportPoint *it =
-                    base + (lo - supports.begin());
-                const SupportPoint *row_hi =
-                    base + (hi - supports.begin());
-                while (it != row_hi) {
-                    const int sy = it->y;
-                    const SupportPoint *run = it;
-                    while (run != row_hi && run->y == sy)
-                        ++run;
-                    const int dy = sy - y;
-                    const int rem = 1599 - dy * dy;
-                    int reach = static_cast<int>(
-                        std::sqrt(static_cast<double>(rem)));
-                    while ((reach + 1) * (reach + 1) <= rem)
-                        ++reach;
-                    while (reach > 0 && reach * reach > rem)
-                        --reach;
-                    prior_rows[nrows++] =
-                        PriorRow{run, it, it, dy * dy, reach};
-                    it = run;
-                }
+            for (const SupportPoint *it = lo; it != hi;) {
+                const int sy = it->y;
+                const SupportPoint *run = it;
+                while (run != hi && run->y == sy)
+                    ++run;
+                const int dy = sy - y;
+                const int rem = 1599 - dy * dy;
+                int reach =
+                    static_cast<int>(std::sqrt(static_cast<double>(rem)));
+                while ((reach + 1) * (reach + 1) <= rem)
+                    ++reach;
+                while (reach > 0 && reach * reach > rem)
+                    --reach;
+                prior_rows[nrows++] = PriorRow{run, it, it, dy * dy, reach};
+                it = run;
             }
             const double *inv_dist2 = invDist2Table();
 
             for (int x = 0; x < p.w; ++x) {
-                double prior = -1.0;
-                if (windowed) {
-                    double wsum = 0.0, dsum = 0.0;
-                    for (std::size_t s = 0; s < nrows; ++s) {
-                        PriorRow &row = prior_rows[s];
-                        const int xlo = x - row.reach;
-                        const int xhi = x + row.reach;
-                        while (row.b != row.end && row.b->x < xlo)
-                            ++row.b;
-                        if (row.e < row.b)
-                            row.e = row.b;
-                        while (row.e != row.end && row.e->x <= xhi)
-                            ++row.e;
-                        for (const SupportPoint *sp = row.b;
-                             sp != row.e; ++sp) {
-                            const int dxi = sp->x - x;
-                            const double wgt =
-                                inv_dist2[dxi * dxi + row.dy_sq + 1];
-                            wsum += wgt;
-                            dsum += wgt * sp->disparity;
-                        }
-                    }
-                    if (wsum > 0.0)
-                        prior = dsum / wsum;
-                } else if (!supports.empty()) {
-                    double wsum = 0.0, dsum = 0.0;
-                    for (auto it = lo; it != hi; ++it) {
-                        const double dx =
-                            it->x - static_cast<double>(x);
-                        const double dy =
-                            it->y - static_cast<double>(y);
-                        const double dist2 = dx * dx + dy * dy + 1.0;
-                        if (dist2 > 40.0 * 40.0)
-                            continue;
-                        const double wgt = 1.0 / dist2;
+                double wsum = 0.0, dsum = 0.0;
+                for (std::size_t s = 0; s < nrows; ++s) {
+                    PriorRow &row = prior_rows[s];
+                    const int xlo = x - row.reach;
+                    const int xhi = x + row.reach;
+                    while (row.b != row.end && row.b->x < xlo)
+                        ++row.b;
+                    if (row.e < row.b)
+                        row.e = row.b;
+                    while (row.e != row.end && row.e->x <= xhi)
+                        ++row.e;
+                    for (const SupportPoint *sp = row.b; sp != row.e;
+                         ++sp) {
+                        const int dxi = sp->x - x;
+                        const double wgt =
+                            inv_dist2[dxi * dxi + row.dy_sq + 1];
                         wsum += wgt;
-                        dsum += wgt * it->disparity;
+                        dsum += wgt * sp->disparity;
                     }
-                    if (wsum > 0.0)
-                        prior = dsum / wsum;
                 }
+                const double prior = wsum > 0.0 ? dsum / wsum : -1.0;
 
                 int d_lo = 0, d_hi = config_.max_disparity;
                 if (prior >= 0.0) {

@@ -1,9 +1,9 @@
 /**
  * @file
- * Gates for the ICP Fast/Simd tiers and KdTree::nearestFast: the fast
+ * Gates for the ICP Fast tier and KdTree::nearestFast: the fast
  * kd-tree traversal must reproduce the recursive oracle bit-for-bit
  * (ties included) on adversarial clouds, the approximate-NN bound must
- * hold, and the closed-form Fast/Simd solvers must land on the same
+ * hold, and the closed-form Fast solver must land on the same
  * transform as the Reference accumulation.
  */
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include <cmath>
 
 #include "core/rng.h"
-#include "core/simd.h"
 #include "pointcloud/icp.h"
 
 namespace sov {
@@ -100,27 +99,6 @@ TEST(KdTreeFast, BitIdenticalToRecursiveOracle)
     }
 }
 
-TEST(KdTreeFast, SimdMatchesScalarBitwise)
-{
-    const SimdLevel level = detectSimdLevel();
-    if (level == SimdLevel::None)
-        GTEST_SKIP() << "no SIMD support on this host/build";
-    for (const PointCloud &cloud : adversarialClouds()) {
-        const KdTree tree(cloud);
-        Rng rng(cloud.id() + 202);
-        for (int q = 0; q < 300; ++q) {
-            const Vec3 query(rng.uniform(-8, 24), rng.uniform(-8, 20),
-                             rng.uniform(-6, 8));
-            const auto scalar = tree.nearestFast(query, SimdLevel::None);
-            const auto vector = tree.nearestFast(query, level);
-            ASSERT_TRUE(scalar && vector);
-            EXPECT_EQ(scalar->index, vector->index);
-            EXPECT_EQ(scalar->squared_distance,
-                      vector->squared_distance);
-        }
-    }
-}
-
 TEST(KdTreeFast, SeededDistanceMatchesUnseededBitwise)
 {
     // A warm start takes the bottom-up path (seed leaf + ancestor
@@ -140,7 +118,7 @@ TEST(KdTreeFast, SeededDistanceMatchesUnseededBitwise)
                                static_cast<std::int64_t>(cloud.size()) -
                                    1));
             const auto seeded =
-                tree.nearestFast(query, SimdLevel::None, 0.0, seed);
+                tree.nearestFast(query, 0.0, seed);
             ASSERT_TRUE(unseeded && seeded);
             EXPECT_EQ(unseeded->squared_distance,
                       seeded->squared_distance);
@@ -150,10 +128,9 @@ TEST(KdTreeFast, SeededDistanceMatchesUnseededBitwise)
 
 TEST(KdTreeFast, BatchMatchesSequentialBitwise)
 {
-    // nearestBatch interleaves several traversals but each lane must
-    // replay nearestFast exactly — same index (ties included), same
-    // rounded distance — seeded and unseeded, at every lane phase
-    // (n % lanes covered by the varying query counts).
+    // nearestBatch must replay nearestFast exactly — same index (ties
+    // included), same rounded distance — seeded and unseeded, for
+    // every batch size.
     for (const PointCloud &cloud : adversarialClouds()) {
         const KdTree tree(cloud);
         Rng rng(cloud.id() + 303);
@@ -177,8 +154,7 @@ TEST(KdTreeFast, BatchMatchesSequentialBitwise)
                               seeds.data(), idx.data(), d2.data());
             for (std::size_t i = 0; i < n; ++i) {
                 const auto one = tree.nearestFast(
-                    Vec3(qx[i], qy[i], qz[i]), SimdLevel::None, 0.0,
-                    seeds[i]);
+                    Vec3(qx[i], qy[i], qz[i]), 0.0, seeds[i]);
                 ASSERT_TRUE(one);
                 EXPECT_EQ(one->index, idx[i]);
                 EXPECT_EQ(one->squared_distance, d2[i]);
@@ -197,8 +173,7 @@ TEST(KdTreeFast, ApproximateBoundHolds)
         const Vec3 query(rng.uniform(-5, 25), rng.uniform(-5, 20),
                          rng.uniform(-3, 6));
         const auto exact = tree.nearest(query);
-        const auto approx =
-            tree.nearestFast(query, SimdLevel::None, eps);
+        const auto approx = tree.nearestFast(query, eps);
         ASSERT_TRUE(exact && approx);
         // d(approx) <= (1+eps) * d(true nearest).
         const double bound = (1.0 + eps) * (1.0 + eps) *
@@ -242,37 +217,6 @@ TEST(IcpFast, MatchesReferenceTransform)
     EXPECT_EQ(ref.iterations, fast.iterations);
 }
 
-TEST(IcpFast, SimdMatchesFast)
-{
-    const SimdLevel level = detectSimdLevel();
-    if (level == SimdLevel::None)
-        GTEST_SKIP() << "no SIMD support on this host/build";
-    const PointCloud target = structuredCloud(0, 8);
-    const PointCloud source =
-        target.transformed(Quat::fromYaw(-0.06), Vec3(0.3, 0.2, 0.0));
-    const KdTree tree(target);
-
-    IcpConfig fast_config;
-    fast_config.backend = KernelBackend::Fast;
-    const IcpResult fast =
-        icpAlign(source, target, tree, {}, fast_config);
-
-    IcpConfig simd_config;
-    simd_config.backend = KernelBackend::Simd;
-    const IcpResult simd =
-        icpAlign(source, target, tree, {}, simd_config);
-
-    // Identical correspondences; accumulators differ only in lane
-    // reassociation of the sums.
-    EXPECT_EQ(fast.iterations, simd.iterations);
-    EXPECT_NEAR(simd.transform.rotation.angularDistance(
-                    fast.transform.rotation),
-                0.0, 1e-9);
-    EXPECT_NEAR(
-        (simd.transform.translation - fast.transform.translation).norm(),
-        0.0, 1e-9);
-}
-
 TEST(IcpFast, ApproximateNnStillConverges)
 {
     const PointCloud target = structuredCloud(0, 5);
@@ -299,7 +243,7 @@ TEST(IcpFast, TracedRunsUseReferencePath)
     const KdTree tree(target, 0);
 
     IcpConfig config;
-    config.backend = KernelBackend::Simd;
+    config.backend = KernelBackend::Fast;
     MemTrace trace;
     icpAlign(source, target, tree, {}, config, &trace);
     // The Fast path has no touch hooks; a traced run must still see

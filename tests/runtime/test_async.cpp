@@ -11,7 +11,7 @@ namespace sov::runtime {
 namespace {
 
 // The Fig. 5 DAG at the paper's mean stage durations (the same graph
-// test_dataflow.cpp checks against TaskGraph). Single-shot critical
+// test_dataflow.cpp schedules). Single-shot critical
 // path: 50 + 54 + 1 + 3 = 108... sensing 50, scene lane 32 + 54 = 86.
 constexpr double kSense = 50.0, kDepth = 32.0, kDet = 54.0, kTrack = 1.0,
                  kLoc = 24.0, kPlan = 3.0;

@@ -4,14 +4,11 @@
 #include <vector>
 
 #include "runtime/dataflow.h"
-#include "runtime/task_graph.h"
 
 namespace sov::runtime {
 namespace {
 
-// Fig. 5 DAG with the paper's mean stage durations, encoded twice:
-// once as a runtime StageGraph, once through the legacy TaskGraph
-// front-end. The two must schedule identically span for span.
+// Fig. 5 DAG with the paper's mean stage durations.
 constexpr double kSense = 50.0, kDepth = 32.0, kDet = 54.0, kTrack = 1.0,
                  kLoc = 24.0, kPlan = 3.0;
 
@@ -31,59 +28,6 @@ fig5StageGraph()
         g.addFixed("localization", "loc", Duration::millisF(kLoc), {s});
     g.addFixed("planning", "cpu", Duration::millisF(kPlan), {d, t, l});
     return g;
-}
-
-TaskGraph
-fig5TaskGraph()
-{
-    TaskGraph g;
-    const TaskId s = g.addFixedTask("sensing", "sensor-fpga",
-                                    Duration::millisF(kSense));
-    const TaskId d =
-        g.addFixedTask("depth", "scene", Duration::millisF(kDepth), {s});
-    const TaskId o =
-        g.addFixedTask("detection", "scene", Duration::millisF(kDet), {s});
-    const TaskId t =
-        g.addFixedTask("tracking", "cpu", Duration::millisF(kTrack), {o});
-    const TaskId l = g.addFixedTask("localization", "loc",
-                                    Duration::millisF(kLoc), {s});
-    g.addFixedTask("planning", "cpu", Duration::millisF(kPlan),
-                   {d, t, l});
-    return g;
-}
-
-TEST(Dataflow, PipelinedScheduleMatchesTaskGraphSpanForSpan)
-{
-    // Satellite acceptance: the runtime's pipelined schedule of the
-    // Fig. 5 DAG matches TaskGraph::schedule exactly.
-    const std::size_t frames = 32;
-    const Duration period = Duration::millis(100);
-
-    StageGraph sg = fig5StageGraph();
-    RunOptions opts;
-    opts.frames = frames;
-    opts.period = period;
-    const RunResult rt = DataflowExecutor::run(sg, opts);
-
-    const ScheduleResult legacy = fig5TaskGraph().schedule(frames, period);
-
-    ASSERT_EQ(rt.frames.size(), frames);
-    for (std::size_t f = 0; f < frames; ++f) {
-        EXPECT_EQ(rt.frames[f].release.ns(), legacy.frame_release[f].ns());
-        EXPECT_EQ(rt.frames[f].latency().ns(),
-                  legacy.frame_latency[f].ns());
-        ASSERT_EQ(rt.frames[f].spans.size(), legacy.spans[f].size());
-        for (std::size_t s = 0; s < sg.size(); ++s) {
-            const StageSpan &a = rt.frames[f].spans[s];
-            const TaskSpan &b = legacy.spans[f][s];
-            EXPECT_EQ(a.start.ns(), b.start.ns())
-                << "frame " << f << " stage " << sg.stage(s).name;
-            EXPECT_EQ(a.finish.ns(), b.finish.ns())
-                << "frame " << f << " stage " << sg.stage(s).name;
-        }
-    }
-    EXPECT_NEAR(rt.steadyStateThroughputHz(),
-                legacy.steadyStateThroughputHz(), 1e-9);
 }
 
 TEST(Dataflow, SingleShotFrameLatencyIsResourceConstrainedCriticalPath)

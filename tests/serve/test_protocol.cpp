@@ -66,11 +66,24 @@ TEST(LineProtocol, UnknownVerbAndMalformedOptionsAreInvalid)
 
 TEST(LineProtocol, ParamHelpersFallBackOnMissingOrMalformed)
 {
-    const Request r = parseRequest("SUBMIT t s seed=notanum x=1.5.2");
+    const Request r = parseRequest("SUBMIT t s seed=notanum");
     ASSERT_EQ(r.verb, Verb::Submit);
     EXPECT_EQ(paramU64(r, "seed", 77), 77u);
-    EXPECT_DOUBLE_EQ(paramDouble(r, "x", 3.0), 3.0);
+    EXPECT_DOUBLE_EQ(paramDouble(r, "absent", 3.0), 3.0);
     EXPECT_EQ(paramU64(r, "absent", 5), 5u);
+}
+
+TEST(LineProtocol, ParamDoubleRejectsMalformedAndNonFinite)
+{
+    const Request r = parseRequest(
+        "SUBMIT t s x=1.5.2 a=abc n=nan i=inf m=-inf big=1e999 "
+        "empty= ok=-2.5 huge=1e300");
+    ASSERT_EQ(r.verb, Verb::Submit);
+    for (const char *key : {"x", "a", "n", "i", "m", "big", "empty"})
+        EXPECT_THROW(paramDouble(r, key, 1.0), BadParam) << key;
+    // Range is the caller's business: finite numbers parse as-is.
+    EXPECT_DOUBLE_EQ(paramDouble(r, "ok", 1.0), -2.5);
+    EXPECT_DOUBLE_EQ(paramDouble(r, "huge", 1.0), 1e300);
 }
 
 TEST(LineProtocol, ParamU64RejectsNegativeAndOutOfRange)

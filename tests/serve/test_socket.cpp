@@ -2,6 +2,7 @@
 
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <cstring>
@@ -147,6 +148,21 @@ TEST(SocketServer, NegativeAndOversizedCountsAreBadParams)
     // The cap is the tenant's backlog, not a fixed constant.
     EXPECT_EQ(roundTrip(server, "SUBMIT t0 scenario_fuzz seeds=1001")[0],
               "ERR bad_param seeds");
+    // Horizons must be finite, positive and capped; deadlines finite
+    // and capped (inf or 1e300 used to overflow the steady_clock
+    // conversion).
+    for (const char *h : {"nan", "inf", "-1", "0", "abc", "1e9"})
+        EXPECT_EQ(roundTrip(server, std::string("SUBMIT t0 open_road "
+                                                "horizon_s=") +
+                                        h)[0],
+                  "ERR bad_param horizon_s")
+            << h;
+    for (const char *d : {"inf", "1e300", "nan"})
+        EXPECT_EQ(roundTrip(server, std::string("SUBMIT t0 open_road "
+                                                "deadline_s=") +
+                                        d)[0],
+                  "ERR bad_param deadline_s")
+            << d;
 
     // The service is still up and still admits a sane job.
     EXPECT_EQ(roundTrip(server, "PING")[0], "OK pong");
@@ -157,6 +173,16 @@ TEST(SocketServer, NegativeAndOversizedCountsAreBadParams)
     const std::string id = ok[0].substr(7, ok[0].find(' ') - 7);
     EXPECT_EQ(roundTrip(server, "ROWS " + id + " from=-1")[0],
               "ERR bad_param from");
+    for (const char *t : {"nan", "inf", "1e300"})
+        EXPECT_EQ(roundTrip(server, "WAIT " + id + " timeout_s=" + t)[0],
+                  "ERR bad_param timeout_s")
+            << t;
+    // serve_client's long wait still fits under the cap; the job is
+    // already done or finishes within the 1 s horizon.
+    EXPECT_EQ(
+        roundTrip(server, "WAIT " + id + " timeout_s=86400")[0].rfind(
+            "OK ", 0),
+        0u);
     // Nothing rejected above reached admission.
     EXPECT_NE(roundTrip(server, "STATS")[0].find("submitted=1 "),
               std::string::npos);
@@ -209,6 +235,75 @@ TEST(SocketServer, TcpRoundTripOverEphemeralPort)
     }
     ::close(fd);
     EXPECT_EQ(reply, "OK pong\nOK bye\n");
+    server.stop();
+}
+
+/** Connect to the Unix socket at @p path; -1 on failure. */
+int
+connectUnix(const std::string &path)
+{
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0)
+        return -1;
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof addr.sun_path - 1);
+    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr), sizeof addr) !=
+        0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
+/** Send @p data on @p fd, then read until the server closes. */
+std::string
+exchange(int fd, const std::string &data)
+{
+    std::size_t off = 0;
+    while (off < data.size()) {
+        const ssize_t n =
+            ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
+        if (n <= 0)
+            break;
+        off += static_cast<std::size_t>(n);
+    }
+    std::string reply;
+    char buf[256];
+    for (;;) {
+        const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+        if (n <= 0)
+            break;
+        reply.append(buf, static_cast<std::size_t>(n));
+    }
+    return reply;
+}
+
+TEST(SocketServer, OverlongLineIsRefusedOverUnixSocket)
+{
+    ScenarioService service(serviceConfig());
+    SocketServerConfig transport;
+    transport.unix_path = ::testing::TempDir() + "sov_line_limit_" +
+        std::to_string(::getpid()) + ".sock";
+    SocketServer server(service, ScenarioCatalog::standard(), transport);
+    ASSERT_TRUE(server.start());
+
+    // An unterminated line one byte over the limit, and a terminated
+    // one: each is refused and its connection closed.
+    for (const std::string &line :
+         {std::string(kMaxLineBytes + 1, 'A'),
+          std::string(kMaxLineBytes + 1, 'A') + "\n"}) {
+        const int fd = connectUnix(transport.unix_path);
+        ASSERT_GE(fd, 0);
+        EXPECT_EQ(exchange(fd, line), "ERR line_too_long\n");
+        ::close(fd);
+    }
+
+    // A fresh connection is served as usual.
+    const int fd = connectUnix(transport.unix_path);
+    ASSERT_GE(fd, 0);
+    EXPECT_EQ(exchange(fd, "PING\nQUIT\n"), "OK pong\nOK bye\n");
+    ::close(fd);
     server.stop();
 }
 
