@@ -20,6 +20,9 @@ using namespace sov;
 
 namespace {
 
+/** Largest map_points accepted: 10x the default map. */
+constexpr std::int64_t kMaxMapPoints = 4000000;
+
 PointCloud
 makeMapCloud(std::size_t points, std::uint64_t seed)
 {
@@ -38,8 +41,17 @@ int
 main(int argc, char **argv)
 {
     const Config cfg = Config::fromArgs(argc, argv);
-    const auto map_points = static_cast<std::size_t>(
-        cfg.getInt("map_points", 400000));
+    const std::int64_t map_points_arg = cfg.getInt("map_points", 400000);
+    if (map_points_arg <= 0 || map_points_arg > kMaxMapPoints) {
+        // -1 used to abort in vector::reserve and 0 to panic on an
+        // empty ICP scan; the cap bounds the map and its kd-tree.
+        std::fprintf(stderr,
+                     "usage: bench_ablation_cache_sweep "
+                     "[map_points=N (0 < N <= %lld)]\n",
+                     static_cast<long long>(kMaxMapPoints));
+        return 2;
+    }
+    const auto map_points = static_cast<std::size_t>(map_points_arg);
 
     const PointCloud map = makeMapCloud(map_points, 1);
     const KdTree map_tree(map, 0);

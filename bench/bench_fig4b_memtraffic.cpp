@@ -27,6 +27,9 @@ using namespace sov;
 
 namespace {
 
+/** Largest map_points accepted: 10x the default map. */
+constexpr std::int64_t kMaxMapPoints = 5000000;
+
 /** A map-scale cloud: the pre-built site map LiDAR vehicles localize
  *  against (hundreds of thousands of points; exceeds the LLC). */
 PointCloud
@@ -101,8 +104,17 @@ int
 main(int argc, char **argv)
 {
     const Config cfg = Config::fromArgs(argc, argv);
-    const auto map_points = static_cast<std::size_t>(
-        cfg.getInt("map_points", 500000));
+    const std::int64_t map_points_arg = cfg.getInt("map_points", 500000);
+    if (map_points_arg <= 0 || map_points_arg > kMaxMapPoints) {
+        // -1 used to abort in vector::reserve and 0 to panic on an
+        // empty ICP scan; the cap bounds the map and its kd-tree.
+        std::fprintf(stderr,
+                     "usage: bench_fig4b_memtraffic "
+                     "[map_points=N (0 < N <= %lld)] [out=PATH]\n",
+                     static_cast<long long>(kMaxMapPoints));
+        return 2;
+    }
+    const auto map_points = static_cast<std::size_t>(map_points_arg);
 
     std::printf("=== Fig. 4b: off-chip traffic vs optimal, "
                 "9 MB 16-way LLC ===\n");

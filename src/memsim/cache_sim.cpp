@@ -1,13 +1,14 @@
 #include "memsim/cache_sim.h"
 
-#include "core/logging.h"
+#include <bit>
 
 namespace sov {
 
 std::uint64_t
 CacheConfig::numSets() const
 {
-    SOV_ASSERT(line_bytes > 0 && associativity > 0);
+    SOV_ASSERT(std::has_single_bit(line_bytes) && associativity > 0 &&
+               size_bytes > 0);
     SOV_ASSERT(size_bytes % (static_cast<std::uint64_t>(line_bytes) *
                              associativity) == 0);
     return size_bytes / (static_cast<std::uint64_t>(line_bytes) *
@@ -15,64 +16,21 @@ CacheConfig::numSets() const
 }
 
 CacheSim::CacheSim(const CacheConfig &config)
-    : config_(config), num_sets_(config.numSets()),
-      ways_(num_sets_ * config.associativity)
+    : config_(config),
+      line_shift_(static_cast<unsigned>(std::countr_zero(config.line_bytes))),
+      num_sets_(config.numSets()),
+      set_reciprocal_(~static_cast<unsigned __int128>(0) / num_sets_ + 1),
+      ways_(config.associativity), lines_(num_sets_ * ways_),
+      valid_(num_sets_)
 {
-}
-
-void
-CacheSim::access(std::uint64_t address, std::uint32_t bytes)
-{
-    SOV_ASSERT(bytes > 0);
-    const std::uint64_t first = address / config_.line_bytes;
-    const std::uint64_t last = (address + bytes - 1) / config_.line_bytes;
-    for (std::uint64_t line = first; line <= last; ++line) {
-        ++stats_.accesses;
-        if (accessLine(line)) {
-            ++stats_.hits;
-        } else {
-            ++stats_.misses;
-            auto [it, inserted] = seen_lines_.emplace(line, true);
-            (void)it;
-            if (inserted)
-                ++stats_.compulsory_misses;
-        }
-    }
-}
-
-bool
-CacheSim::accessLine(std::uint64_t line_address)
-{
-    const std::uint64_t set = line_address % num_sets_;
-    const std::uint64_t tag = line_address / num_sets_;
-    Way *base = &ways_[set * config_.associativity];
-
-    Way *victim = base;
-    for (std::uint32_t w = 0; w < config_.associativity; ++w) {
-        Way &way = base[w];
-        if (way.valid && way.tag == tag) {
-            way.lru = ++use_counter_;
-            return true;
-        }
-        if (!way.valid) {
-            victim = &way; // prefer an invalid way
-        } else if (victim->valid && way.lru < victim->lru) {
-            victim = &way;
-        }
-    }
-    victim->valid = true;
-    victim->tag = tag;
-    victim->lru = ++use_counter_;
-    return false;
 }
 
 void
 CacheSim::reset()
 {
-    ways_.assign(ways_.size(), Way{});
+    valid_.assign(valid_.size(), 0);
     stats_ = CacheStats{};
-    seen_lines_.clear();
-    use_counter_ = 0;
+    first_touch_.clear();
 }
 
 } // namespace sov

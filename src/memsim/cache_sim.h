@@ -11,8 +11,10 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
+
+#include "core/logging.h"
+#include "memsim/paged_array.h"
 
 namespace sov {
 
@@ -20,7 +22,7 @@ namespace sov {
 struct CacheConfig
 {
     std::uint64_t size_bytes = 9ull << 20; //!< paper: 9 MB LLC
-    std::uint32_t line_bytes = 64;
+    std::uint32_t line_bytes = 64; //!< a power of two
     std::uint32_t associativity = 16;
 
     std::uint64_t numSets() const;
@@ -61,14 +63,42 @@ struct CacheStats
     }
 };
 
-/** Set-associative cache with true-LRU replacement. */
+/**
+ * Set-associative cache with exact LRU replacement.
+ *
+ * Each set keeps its resident lines most-recently-used first plus a
+ * count of valid ways: a hit moves its line to the front, a miss
+ * inserts at the front and drops the last line once the set is full.
+ * First touches are remembered in a bitset over line numbers whose
+ * pages are allocated on first touch.
+ */
 class CacheSim
 {
   public:
     explicit CacheSim(const CacheConfig &config);
 
     /** Access @p bytes starting at @p address (split across lines). */
-    void access(std::uint64_t address, std::uint32_t bytes = 1);
+    void
+    access(std::uint64_t address, std::uint32_t bytes = 1)
+    {
+        SOV_ASSERT(bytes > 0);
+        const std::uint64_t first = address >> line_shift_;
+        const std::uint64_t last = (address + bytes - 1) >> line_shift_;
+        for (std::uint64_t line = first; line <= last; ++line) {
+            ++stats_.accesses;
+            if (accessLine(line)) {
+                ++stats_.hits;
+            } else {
+                ++stats_.misses;
+                std::uint64_t &word = first_touch_[line >> 6];
+                const std::uint64_t bit = std::uint64_t{1} << (line & 63);
+                if (!(word & bit)) {
+                    word |= bit;
+                    ++stats_.compulsory_misses;
+                }
+            }
+        }
+    }
 
     const CacheStats &stats() const { return stats_; }
     const CacheConfig &config() const { return config_; }
@@ -78,21 +108,53 @@ class CacheSim
 
   private:
     /** Touch a single line; returns true on hit. */
-    bool accessLine(std::uint64_t line_address);
-
-    struct Way
+    bool
+    accessLine(std::uint64_t line)
     {
-        std::uint64_t tag = 0;
-        std::uint64_t lru = 0; //!< larger = more recently used
-        bool valid = false;
-    };
+        // A set holds whole line numbers rather than tags: within one
+        // set the two determine each other, and no division is needed.
+        const std::uint64_t set = setOf(line);
+        std::uint64_t *mru = &lines_[set * ways_];
+        std::uint32_t &valid = valid_[set];
+        std::uint32_t w = 0;
+        while (w < valid && mru[w] != line)
+            ++w;
+        const bool hit = w < valid;
+        if (!hit) // fill a free way, or overwrite the LRU line
+            w = valid < ways_ ? valid++ : valid - 1;
+        for (; w > 0; --w)
+            mru[w] = mru[w - 1];
+        mru[0] = line;
+        return hit;
+    }
+
+    /**
+     * line % num_sets_ by multiplication (Lemire, Kaser and Kurz,
+     * "Faster remainder by direct computation", 2019): with a 128-bit
+     * reciprocal it is exact for every 64-bit line and set count, and
+     * it spares a 64-bit divide on every access.
+     */
+    std::uint64_t
+    setOf(std::uint64_t line) const
+    {
+        const unsigned __int128 frac = set_reciprocal_ * line;
+        const unsigned __int128 low =
+            (static_cast<unsigned __int128>(static_cast<std::uint64_t>(frac)) *
+             num_sets_) >> 64;
+        const unsigned __int128 high = (frac >> 64) * num_sets_;
+        return static_cast<std::uint64_t>((low + high) >> 64);
+    }
 
     CacheConfig config_;
+    unsigned line_shift_; //!< log2(line_bytes)
     std::uint64_t num_sets_;
-    std::vector<Way> ways_; //!< num_sets * associativity, row per set
-    std::uint64_t use_counter_ = 0;
+    unsigned __int128 set_reciprocal_; //!< 2^128 / num_sets_, rounded up
+    std::uint32_t ways_;
+    std::vector<std::uint64_t> lines_; //!< num_sets * ways, MRU first
+    std::vector<std::uint32_t> valid_; //!< valid ways per set
     CacheStats stats_;
-    std::unordered_map<std::uint64_t, bool> seen_lines_; //!< compulsory
+    /** Bit (line & 63) of word (line >> 6) is set once a line missed. */
+    PagedArray<std::uint64_t, 9> first_touch_;
 };
 
 } // namespace sov

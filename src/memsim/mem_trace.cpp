@@ -2,53 +2,19 @@
 
 namespace sov {
 
-namespace {
-/** Base addresses keep clouds and trees in disjoint regions. */
-constexpr std::uint64_t kCloudRegion = 0x1000'0000ull;
-constexpr std::uint64_t kTreeRegion = 0x8000'0000ull;
-constexpr std::uint64_t kRegionStride = 0x0400'0000ull; // 64 MB apart
-} // namespace
-
-std::uint64_t
-MemTrace::pointAddress(std::uint32_t cloud_id, std::uint32_t index) const
-{
-    return kCloudRegion + cloud_id * kRegionStride +
-        static_cast<std::uint64_t>(index) * kPointBytes;
-}
-
-std::uint64_t
-MemTrace::nodeAddress(std::uint32_t tree_id, std::uint32_t index) const
-{
-    return kTreeRegion + tree_id * kRegionStride +
-        static_cast<std::uint64_t>(index) * kNodeBytes;
-}
-
-void
-MemTrace::touchPoint(std::uint32_t cloud_id, std::uint32_t index)
-{
-    ++total_;
-    ++point_reuse_[key(cloud_id, index)];
-    if (cache_)
-        cache_->access(pointAddress(cloud_id, index), kPointBytes);
-}
-
-void
-MemTrace::touchNode(std::uint32_t tree_id, std::uint32_t index)
-{
-    ++total_;
-    ++node_touches_[key(tree_id, index)];
-    if (cache_)
-        cache_->access(nodeAddress(tree_id, index), kNodeBytes);
-}
-
 std::vector<std::uint64_t>
 MemTrace::pointReuseCounts(std::uint32_t cloud_id) const
 {
     std::vector<std::uint64_t> counts;
-    for (const auto &kv : point_reuse_) {
-        if (static_cast<std::uint32_t>(kv.first >> 32) == cloud_id)
-            counts.push_back(kv.second);
-    }
+    point_counts_.forEachPage(
+        key(cloud_id, 0) >> kCountPageBits,
+        key(cloud_id, 0xFFFF'FFFFu) >> kCountPageBits,
+        [&counts](const std::uint64_t *page) {
+            for (std::uint64_t i = 0; i < Counts::kPageSize; ++i) {
+                if (page[i])
+                    counts.push_back(page[i]);
+            }
+        });
     return counts;
 }
 
@@ -68,8 +34,10 @@ void
 MemTrace::reset()
 {
     total_ = 0;
-    point_reuse_.clear();
-    node_touches_.clear();
+    point_counts_.clear();
+    node_counts_.clear();
+    distinct_points_ = 0;
+    distinct_nodes_ = 0;
 }
 
 } // namespace sov

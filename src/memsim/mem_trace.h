@@ -11,11 +11,11 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/stats.h"
 #include "memsim/cache_sim.h"
+#include "memsim/paged_array.h"
 
 namespace sov {
 
@@ -35,19 +35,39 @@ class MemTrace
     void attachCache(CacheSim *cache) { cache_ = cache; }
 
     /** Record a read of point @p index in cloud @p cloud_id. */
-    void touchPoint(std::uint32_t cloud_id, std::uint32_t index);
+    void
+    touchPoint(std::uint32_t cloud_id, std::uint32_t index)
+    {
+        ++total_;
+        if (point_counts_[key(cloud_id, index)]++ == 0)
+            ++distinct_points_;
+        if (cache_)
+            cache_->access(kCloudRegion + cloud_id * kRegionStride +
+                               std::uint64_t{index} * kPointBytes,
+                           kPointBytes);
+    }
 
     /** Record a read of kd-tree node @p index of tree @p tree_id. */
-    void touchNode(std::uint32_t tree_id, std::uint32_t index);
+    void
+    touchNode(std::uint32_t tree_id, std::uint32_t index)
+    {
+        ++total_;
+        if (node_counts_[key(tree_id, index)]++ == 0)
+            ++distinct_nodes_;
+        if (cache_)
+            cache_->access(kTreeRegion + tree_id * kRegionStride +
+                               std::uint64_t{index} * kNodeBytes,
+                           kNodeBytes);
+    }
 
     /** Total recorded accesses (points + nodes). */
     std::uint64_t totalAccesses() const { return total_; }
 
     /** Number of distinct points touched. */
-    std::size_t distinctPoints() const { return point_reuse_.size(); }
+    std::size_t distinctPoints() const { return distinct_points_; }
 
     /** Number of distinct tree nodes touched. */
-    std::size_t distinctNodes() const { return node_touches_.size(); }
+    std::size_t distinctNodes() const { return distinct_nodes_; }
 
     /**
      * Bytes the algorithm actually needs, fetched exactly once and
@@ -63,7 +83,8 @@ class MemTrace
 
     /**
      * Per-point access counts ("reuse frequency", Fig. 4a x-axis) of
-     * one cloud.
+     * one cloud: one entry per touched point, in ascending point
+     * index order.
      */
     std::vector<std::uint64_t> pointReuseCounts(std::uint32_t cloud_id) const;
 
@@ -78,23 +99,27 @@ class MemTrace
     void reset();
 
   private:
-    std::uint64_t pointAddress(std::uint32_t cloud_id,
-                               std::uint32_t index) const;
-    std::uint64_t nodeAddress(std::uint32_t tree_id,
-                              std::uint32_t index) const;
-
-    CacheSim *cache_ = nullptr;
-    std::uint64_t total_ = 0;
-    /** Packed (id << 32 | index) -> access count; hashed for O(1)
-     *  updates — the trace sits on very hot paths. */
-    std::unordered_map<std::uint64_t, std::uint64_t> point_reuse_;
-    std::unordered_map<std::uint64_t, std::uint64_t> node_touches_;
+    /** Base addresses keep clouds and trees in disjoint regions. */
+    static constexpr std::uint64_t kCloudRegion = 0x1000'0000ull;
+    static constexpr std::uint64_t kTreeRegion = 0x8000'0000ull;
+    static constexpr std::uint64_t kRegionStride = 0x0400'0000ull; // 64 MB
+    /** 4096 counters (32 KB) per page. */
+    static constexpr unsigned kCountPageBits = 12;
+    using Counts = PagedArray<std::uint64_t, kCountPageBits>;
 
     static std::uint64_t
     key(std::uint32_t id, std::uint32_t index)
     {
         return (static_cast<std::uint64_t>(id) << 32) | index;
     }
+
+    CacheSim *cache_ = nullptr;
+    std::uint64_t total_ = 0;
+    /** Access count of each (id, index), keyed by (id << 32 | index). */
+    Counts point_counts_;
+    Counts node_counts_;
+    std::size_t distinct_points_ = 0; //!< nonzero point counters
+    std::size_t distinct_nodes_ = 0;  //!< nonzero node counters
 };
 
 } // namespace sov

@@ -27,7 +27,9 @@ jitter.
 Row tables are aligned by a composite of the row's known label keys
 (fault/scenario/policy/mode/preset/stack/name — so the fault matrix's
 4 cells per fault land on distinct labels), falling back to the first
-string-valued field, then the row index. A report pair whose `smoke`
+string-valued field, plus the identifying numeric fields ("threads":
+the fleet sweeps repeat one fingerprint at every thread count), then
+the row index. A report pair whose `smoke`
 flags disagree is skipped — a smoke matrix and a full matrix
 legitimately produce different numbers.
 
@@ -52,6 +54,12 @@ PERF_SUFFIXES = ("_ms", "_hz", "per_sec")
 # "tenant" keys the fleet-service fairness table (one row per tenant).
 LABEL_KEYS = ("fault", "scenario", "policy", "mode", "preset", "stack",
               "tenant", "name")
+
+# Numeric row fields that identify a row. BENCH_fleet.json and
+# BENCH_scenario_fuzz.json key their `runs` rows by a fingerprint that
+# is the same at every thread count; without "threads" in the label the
+# 1/2/4-thread rows would be diffed against each other.
+NUMERIC_LABEL_KEYS = ("threads",)
 
 # Categorical per-row results: any change is a behaviour regression.
 # The kernel-bench equivalence fields ride along: "equivalent" flips
@@ -81,12 +89,12 @@ def is_number(value):
 def row_label(row, index):
     parts = [row[key] for key in LABEL_KEYS
              if isinstance(row.get(key), str)]
-    if parts:
-        return "/".join(parts)
-    for value in row.values():
-        if isinstance(value, str):
-            return value
-    return f"#{index}"
+    if not parts:
+        parts = [value for value in row.values()
+                 if isinstance(value, str)][:1]
+    parts += [f"{key}={row[key]}" for key in NUMERIC_LABEL_KEYS
+              if is_number(row.get(key))]
+    return "/".join(parts) if parts else f"#{index}"
 
 
 def diff_values(path, base, cand, tolerance, problems):

@@ -44,6 +44,9 @@ import time
 PERF_SUFFIXES = ("_ms", "_hz", "per_sec")
 LABEL_KEYS = ("fault", "scenario", "policy", "mode", "preset", "stack",
               "tenant", "name")
+# Identifying numeric row fields: the fleet sweeps repeat one
+# fingerprint at every thread count (see tools/bench_diff.py).
+NUMERIC_LABEL_KEYS = ("threads",)
 
 
 def is_perf_key(key):
@@ -64,12 +67,12 @@ def is_number(value):
 def row_label(row, index):
     parts = [row[key] for key in LABEL_KEYS
              if isinstance(row.get(key), str)]
-    if parts:
-        return "/".join(parts)
-    for value in row.values():
-        if isinstance(value, str):
-            return value
-    return f"#{index}"
+    if not parts:
+        parts = [value for value in row.values()
+                 if isinstance(value, str)][:1]
+    parts += [f"{key}={row[key]}" for key in NUMERIC_LABEL_KEYS
+              if is_number(row.get(key))]
+    return "/".join(parts) if parts else f"#{index}"
 
 
 def flatten_report(report):
