@@ -106,5 +106,5 @@ main(int argc, char **argv)
     report.gate("traffic_collapses_with_capacity",
                 largest_16w < smallest_16w,
                 "a 36 MB LLC must cut traffic vs 1 MB at 16 ways");
-    return report.write();
+    return report.write(cfg);
 }

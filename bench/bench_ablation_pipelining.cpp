@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "core/config.h"
 #include "harness.h"
 #include "runtime/dataflow.h"
 
@@ -45,6 +46,7 @@ reportDeadline(const char *label, const std::vector<double> &stage_ms,
     runtime::RunOptions opts;
     opts.frames = 128;
     opts.period = Duration::seconds(1.0 / input_hz);
+    opts.max_in_flight = opts.frames;
     opts.deadline = Duration::millisF(deadline_ms);
     const runtime::RunResult run = runtime::DataflowExecutor::run(g, opts);
     // The bottleneck stage's queue is where the backlog accumulates.
@@ -75,6 +77,7 @@ report(const char *label, const std::vector<double> &stage_ms,
     runtime::RunOptions opts;
     opts.frames = 128;
     opts.period = Duration::seconds(1.0 / input_hz);
+    opts.max_in_flight = opts.frames;
     const runtime::RunResult run = runtime::DataflowExecutor::run(g, opts);
     const double throughput_hz = run.steadyStateThroughputHz();
     const double steady_ms = run.frames.back().latency().toMillis();
@@ -93,8 +96,9 @@ report(const char *label, const std::vector<double> &stage_ms,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    const Config cfg = Config::fromArgs(argc, argv);
     std::printf("=== Ablation: pipelining vs latency (Sec. III-A) "
                 "===\n\n");
 
@@ -137,5 +141,5 @@ main()
                 "binding constraint.\n");
     out.gate("splitting_raises_throughput", split_hz > mono_hz,
              "Sec. III-A: pipelining must lift the throughput ceiling");
-    return out.write();
+    return out.write(cfg);
 }

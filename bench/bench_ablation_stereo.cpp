@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "core/config.h"
 #include "core/rng.h"
 #include "core/stats.h"
 #include "harness.h"
@@ -89,8 +90,9 @@ evaluate(const char *name, const Scene &scene, const StereoConfig &cfg,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    const Config cfg = Config::fromArgs(argc, argv);
     std::printf("=== Ablation: stereo matcher design choices ===\n\n");
     const Scene scene = makeScene();
     bench::BenchReport report("ablation_stereo");
@@ -122,5 +124,5 @@ main()
                 "small blocks are fast but noisy.\n");
     report.gate("lr_check_prunes_matches", base_density <= no_lr_density,
                 "LR consistency must only remove disparities");
-    return report.write();
+    return report.write(cfg);
 }

@@ -73,8 +73,6 @@ main(int argc, char **argv)
     const auto seed = static_cast<std::uint64_t>(config.getInt("seed", 1));
     const auto threads =
         static_cast<std::size_t>(config.getInt("threads", 0));
-    const std::string out_path =
-        config.getString("out", "BENCH_fault_matrix.json");
 
     std::vector<FaultPreset> presets = faultMatrixPresets();
     if (smoke) {
@@ -201,5 +199,5 @@ main(int argc, char **argv)
                     async_mismatches == 0
                         ? ""
                         : "async supervised diverged from sync supervised");
-    return report_out.write(out_path);
+    return report_out.write(config);
 }

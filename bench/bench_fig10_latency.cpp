@@ -97,15 +97,16 @@ main(int argc, char **argv)
                 "deadline (%zu frames) ===\n\n",
                 SovPipelineConfig{}.frame_rate_hz, deadline_ms,
                 pipelined_frames);
+    obs::MetricRegistry spans;
     runtime::RunOptions opts;
     opts.frames = pipelined_frames;
     opts.period =
         Duration::seconds(1.0 / SovPipelineConfig{}.frame_rate_hz);
+    opts.max_in_flight = pipelined_frames;
     opts.deadline = Duration::millisF(deadline_ms);
+    opts.metrics = &spans;
     const runtime::RunResult run =
         runtime::DataflowExecutor::run(pipeline.graph(), opts);
-    obs::MetricRegistry spans;
-    run.emit(pipeline.graph(), spans);
     std::printf("%-14s %10s %10s\n", "stage", "queue mean", "queue p99");
     for (const auto &stage : pipeline.graph().stageNames()) {
         const std::string key = "queue:" + stage;
@@ -142,5 +143,5 @@ main(int argc, char **argv)
                 stats.metrics.mean("sensing") >
                     0.3 * stats.metrics.mean("total"),
                 "paper: sensing is ~half the mean end-to-end latency");
-    return report.write(cfg.getString("out", report.defaultPath()));
+    return report.write(cfg);
 }

@@ -108,7 +108,7 @@ depthErrorForOffset(Duration offset, const World &world,
 int
 main(int argc, char **argv)
 {
-    (void)Config::fromArgs(argc, argv);
+    const Config cfg = Config::fromArgs(argc, argv);
     const World world = sceneWithObstacles();
     const Trajectory traj = turningTrajectory();
 
@@ -135,5 +135,5 @@ main(int argc, char **argv)
     report.meta("depth_err_150ms_m", err_at_max);
     report.gate("error_grows_with_desync", err_at_max > err_at_zero,
                 "Fig. 11a: depth error must grow with stereo offset");
-    return report.write();
+    return report.write(cfg);
 }

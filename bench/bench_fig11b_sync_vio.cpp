@@ -107,7 +107,7 @@ run(Duration camera_offset, std::uint64_t seed)
 int
 main(int argc, char **argv)
 {
-    (void)Config::fromArgs(argc, argv);
+    const Config cfg = Config::fromArgs(argc, argv);
     std::printf("=== Fig. 11b: VIO trajectory vs camera-IMU sync "
                 "===\n");
     std::printf("(two-lap 770 m loop at 5.6 m/s)\n\n");
@@ -151,5 +151,5 @@ main(int argc, char **argv)
     report.gate("sync_beats_unsynced",
                 synced.max_error < off40.max_error,
                 "Fig. 11b: camera-IMU offset must inflate drift");
-    return report.write();
+    return report.write(cfg);
 }

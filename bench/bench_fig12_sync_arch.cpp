@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "core/config.h"
 #include "core/stats.h"
 #include "harness.h"
 #include "sync/synchronizer.h"
@@ -19,8 +20,9 @@
 using namespace sov;
 
 int
-main()
+main(int argc, char **argv)
 {
+    const Config cfg = Config::fromArgs(argc, argv);
     bench::BenchReport report("fig12_sync_arch");
     std::printf("=== Fig. 12: sensor synchronization strategies ===\n\n");
 
@@ -101,5 +103,5 @@ main()
     report.gate("hw_pairing_beats_sw",
                 hw_pair.max() < sw_pair.max(),
                 "Fig. 12: HW sync must bound camera-IMU pairing error");
-    return report.write();
+    return report.write(cfg);
 }

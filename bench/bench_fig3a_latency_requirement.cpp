@@ -80,5 +80,5 @@ main(int argc, char **argv)
                 minimumAvoidableDistance(params, Duration::millisF(740)));
     report.gate("budget_monotone_in_distance", budget_monotone,
                 "farther objects must leave a larger compute budget");
-    return report.write(cfg.getString("out", report.defaultPath()));
+    return report.write(cfg);
 }

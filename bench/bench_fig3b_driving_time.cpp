@@ -9,13 +9,15 @@
 
 #include "analysis/energy_model.h"
 #include "analysis/power_budget.h"
+#include "core/config.h"
 #include "harness.h"
 
 using namespace sov;
 
 int
-main()
+main(int argc, char **argv)
 {
+    const Config cfg = Config::fromArgs(argc, argv);
     const EnergyModelParams params;
 
     bench::BenchReport report("fig3b_driving_time");
@@ -81,5 +83,5 @@ main()
     report.meta("idle_server_revenue_loss_percent", revenue_loss);
     report.gate("driving_time_shrinks_with_p_ad", hours_decreasing,
                 "Eq. 2: more compute power must cost driving time");
-    return report.write();
+    return report.write(cfg);
 }

@@ -110,7 +110,7 @@ report(const char *name, MemTrace &trace, std::uint32_t cloud_id,
 int
 main(int argc, char **argv)
 {
-    (void)Config::fromArgs(argc, argv);
+    const Config cfg = Config::fromArgs(argc, argv);
     std::printf("=== Fig. 4a: point reuse frequency, ICP "
                 "localization, two scenes ===\n\n");
 
@@ -130,5 +130,5 @@ main(int argc, char **argv)
              "points must be reused many times during ICP");
     out.gate("reuse_irregular", a.stddev() > 1.0 && b.stddev() > 1.0,
              "reuse counts vary wildly across points");
-    return out.write();
+    return out.write(cfg);
 }

@@ -207,5 +207,5 @@ main(int argc, char **argv)
                  recon.normalizedToOptimal() > 1.0 &&
                  seg.normalizedToOptimal() > 1.0,
              "every workload needs more off-chip traffic than optimal");
-    return out.write(cfg.getString("out", out.defaultPath()));
+    return out.write(cfg);
 }

@@ -12,14 +12,16 @@
  */
 #include <cstdio>
 
+#include "core/config.h"
 #include "harness.h"
 #include "platform/platform_model.h"
 
 using namespace sov;
 
 int
-main()
+main(int argc, char **argv)
 {
+    const Config cfg = Config::fromArgs(argc, argv);
     const PlatformModel model;
     const Platform platforms[] = {Platform::CoffeeLakeCpu,
                                   Platform::Gtx1060, Platform::Tx2,
@@ -94,5 +96,5 @@ main()
     report.gate("tx2_bottlenecks_perception",
                 tx2_total > 500.0,
                 "paper: 844.2 ms cumulative perception on TX2");
-    return report.write();
+    return report.write(cfg);
 }

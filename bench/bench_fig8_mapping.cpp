@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "core/config.h"
 #include "harness.h"
 #include "platform/calibration.h"
 #include "platform/mapping.h"
@@ -18,8 +19,9 @@
 using namespace sov;
 
 int
-main()
+main(int argc, char **argv)
 {
+    const Config cfg = Config::fromArgs(argc, argv);
     const PlatformModel model;
     const MappingExplorer explorer(model);
 
@@ -68,5 +70,5 @@ main()
                 MappingExplorer::endToEndReduction(best, *all_gpu, rest));
     report.gate("best_beats_all_gpu", speedup > 1.0,
                 "Fig. 8: moving localization off the GPU must pay");
-    return report.write();
+    return report.write(cfg);
 }

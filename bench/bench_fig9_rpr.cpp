@@ -10,6 +10,7 @@
  */
 #include <cstdio>
 
+#include "core/config.h"
 #include "harness.h"
 #include "platform/calibration.h"
 #include "platform/rpr.h"
@@ -17,8 +18,9 @@
 using namespace sov;
 
 int
-main()
+main(int argc, char **argv)
 {
+    const Config cfg = Config::fromArgs(argc, argv);
     const RprEngine engine;
 
     std::printf("=== Fig. 9 / Sec. V-B3: RPR engine ===\n\n");
@@ -86,5 +88,5 @@ main()
     report.meta("engine_flip_flops", RprEngine::kFlipFlops);
     report.gate("engine_beats_cpu_driven", cpu.duration > hw.duration,
                 "Fig. 9: DMA-driven ICAP must beat the CPU path");
-    return report.write();
+    return report.write(cfg);
 }

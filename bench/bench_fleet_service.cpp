@@ -129,8 +129,6 @@ main(int argc, char **argv)
         config.getInt("workers", static_cast<std::int64_t>(hw)));
     const auto probes = static_cast<std::size_t>(
         config.getInt("probes", smoke ? 6 : 16));
-    const std::string out_path =
-        config.getString("out", "BENCH_fleet_service.json");
 
     bench::BenchReport report("fleet_service");
     report.setSmoke(smoke);
@@ -376,5 +374,5 @@ main(int argc, char **argv)
                     "same job fingerprint at 1/2/8 workers");
     }
 
-    return report.write(out_path);
+    return report.write(config);
 }

@@ -87,8 +87,6 @@ main(int argc, char **argv)
     const std::size_t hw = ThreadPool::defaultThreads();
     const auto max_threads = static_cast<std::size_t>(
         config.getInt("max_threads", static_cast<std::int64_t>(hw)));
-    const std::string out_path =
-        config.getString("out", "BENCH_fleet.json");
 
     const ScenarioMatrix matrix =
         buildMatrix(smoke, seed, seeds, horizon_s);
@@ -229,5 +227,5 @@ main(int argc, char **argv)
     report_out.gate("deterministic", deterministic,
                     deterministic ? "" : "fingerprint mismatch across "
                                          "thread counts");
-    return report_out.write(out_path);
+    return report_out.write(config, "BENCH_fleet.json");
 }

@@ -210,8 +210,6 @@ main(int argc, char **argv)
     const double simd_floor = config.getDouble(
         "simd_floor",
         simd_level == SimdLevel::Avx2 ? (smoke ? 1.05 : 1.5) : 0.0);
-    const std::string out_path =
-        config.getString("out", "BENCH_kernels.json");
 
     std::printf("simd level: %s\n", simdLevelName(simd_level));
 
@@ -554,5 +552,5 @@ main(int argc, char **argv)
                 thread_fingerprints_ok
                     ? ""
                     : "fast stereo differs across thread counts");
-    return report.write(out_path);
+    return report.write(config);
 }

@@ -182,8 +182,6 @@ main(int argc, char **argv)
         config.getInt("worlds", smoke ? 12 : 200));
     const auto seed = static_cast<std::uint64_t>(config.getInt("seed", 1));
     const double horizon_s = config.getDouble("horizon_s", 20.0);
-    const std::string out_path =
-        config.getString("out", "BENCH_scenario_fuzz.json");
 
     const bool cv_ok = cvBitIdentity();
     std::printf("cv bit-identity (stepped vs analytic): %s\n",
@@ -297,5 +295,5 @@ main(int argc, char **argv)
     report.gate("triage_deterministic", triage_deterministic,
                 triage_deterministic ? "" : "triage fingerprint varies "
                                             "with thread count");
-    return report.write(out_path);
+    return report.write(config);
 }

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "core/config.h"
 #include "harness.h"
 #include "localization/gps_fusion.h"
 #include "sensors/gps.h"
@@ -18,8 +19,9 @@
 using namespace sov;
 
 int
-main()
+main(int argc, char **argv)
 {
+    const Config cfg = Config::fromArgs(argc, argv);
     bench::BenchReport report("sec6b_gpsvio");
     // Long straight + curves so VIO drift is visible.
     Polyline2 path;
@@ -114,5 +116,5 @@ main()
     report.meta("fusion_worst_m", fusion_worst);
     report.gate("fusion_bounds_drift", fusion_worst < vio_worst,
                 "Sec. VI-B: GNSS fixes must bound the VIO drift");
-    return report.write();
+    return report.write(cfg);
 }

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "core/config.h"
 #include "core/rng.h"
 #include "harness.h"
 #include "sensors/radar.h"
@@ -196,6 +197,8 @@ main(int argc, char **argv)
     bench::BenchReport report("sec6b_radar_tracking");
     functionalDemo(report);
     benchmark::Initialize(&argc, argv);
+    // After Initialize, which strips the --benchmark_* flags it parsed.
+    const Config cfg = Config::fromArgs(argc, argv);
     CaptureReporter reporter;
     benchmark::RunSpecifiedBenchmarks(&reporter);
 
@@ -215,5 +218,5 @@ main(int argc, char **argv)
         report.gate("spatial_sync_lighter_than_kcf", sync_ns < kcf_ns,
                     "paper: spatial sync ~100x lighter than KCF");
     }
-    return report.write();
+    return report.write(cfg);
 }

@@ -74,7 +74,7 @@ runRow(const Row &row, std::uint64_t seed, bench::BenchReport &report)
 int
 main(int argc, char **argv)
 {
-    (void)Config::fromArgs(argc, argv);
+    const Config cfg = Config::fromArgs(argc, argv);
     std::printf("=== Sec. IV: proactive + reactive safety, closed "
                 "loop ===\n");
     std::printf("vehicle at 5.6 m/s; braking distance 3.9 m; obstacle "
@@ -127,5 +127,5 @@ main(int argc, char **argv)
                 "obstacle sensed 60 m out must be avoided proactively");
     report.gate("reactive_saves_sudden", !sudden.collided,
                 "30 ms reactive path must stop for a 6 m appearance");
-    return report.write();
+    return report.write(cfg);
 }

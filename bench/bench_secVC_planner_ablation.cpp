@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "core/config.h"
 #include "harness.h"
 #include "planning/em_planner.h"
 #include "planning/mpc.h"
@@ -124,6 +125,8 @@ main(int argc, char **argv)
                 "(33x).\nThe reproduced result is the *ratio* of the "
                 "two benchmarks below.\n\n");
     benchmark::Initialize(&argc, argv);
+    // After Initialize, which strips the --benchmark_* flags it parsed.
+    const Config cfg = Config::fromArgs(argc, argv);
     CaptureReporter reporter;
     benchmark::RunSpecifiedBenchmarks(&reporter);
 
@@ -144,5 +147,5 @@ main(int argc, char **argv)
         report.gate("em_costlier_than_mpc", em_ns > mpc_ns,
                     "paper: EM-style planner ~33x the lane-level MPC");
     }
-    return report.write();
+    return report.write(cfg);
 }

@@ -7,6 +7,7 @@
 
 #include "analysis/energy_model.h"
 #include "analysis/power_budget.h"
+#include "core/config.h"
 #include "harness.h"
 
 using namespace sov;
@@ -33,8 +34,9 @@ printBudget(const char *title, const PowerBudget &budget,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    const Config cfg = Config::fromArgs(argc, argv);
     bench::BenchReport report("table1_power");
 
     std::printf("=== Table I: power breakdown ===\n\n");
@@ -69,5 +71,5 @@ main()
                 drivingHours(energy, Power::watts(175)) > 7.0 &&
                     drivingHours(energy, Power::watts(175)) < 8.5,
                 "paper: 10 h baseline shrinks to ~7.7 h at 175 W");
-    return report.write();
+    return report.write(cfg);
 }

@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "analysis/cost_model.h"
+#include "core/config.h"
 #include "harness.h"
 
 using namespace sov;
@@ -32,8 +33,9 @@ printBreakdown(const char *title, const CostBreakdown &breakdown,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    const Config cfg = Config::fromArgs(argc, argv);
     bench::BenchReport report("table2_cost");
 
     std::printf("=== Table II: cost breakdown ===\n\n");
@@ -70,5 +72,5 @@ main()
     report.gate("lidar_sensors_exceed_vehicle_price",
                 lidar_total > tco.vehicle_price.toDollars(),
                 "Table II headline: LiDAR alone outprices the vehicle");
-    return report.write();
+    return report.write(cfg);
 }

@@ -245,9 +245,21 @@ BenchReport::toJson(std::ostream &os) const
 }
 
 int
-BenchReport::write(const std::string &path) const
+BenchReport::write(const Config &args,
+                   const std::string &default_path) const
 {
-    const std::string target = path.empty() ? defaultPath() : path;
+    const std::string target = args.getString(
+        "out", default_path.empty() ? defaultPath() : default_path);
+    const std::vector<std::string> unread = args.unreadKeys();
+    if (!unread.empty()) {
+        std::fprintf(stderr, "unknown argument(s):");
+        for (const std::string &key : unread)
+            std::fprintf(stderr, " %s", key.c_str());
+        std::fprintf(stderr, " (no option of this bench reads them); "
+                             "%s not written\n",
+                     target.c_str());
+        return 2;
+    }
     std::ofstream out(target);
     toJson(out);
     std::printf("wrote %s (%s)\n", target.c_str(),

@@ -14,6 +14,11 @@
  * (pre-serialized JSON embedded verbatim, e.g. a FleetReport).
  * `pass` is the AND of the registered gates and doubles as the
  * process exit code, keeping shell-level CI gates one-liners.
+ *
+ * write() also owns the bench command line's exit path: it reads the
+ * `out=PATH` argument every bench accepts, and rejects (exit 2, no
+ * report) any key=value argument that nothing read — a mistyped floor
+ * in a CI step must fail the step, not silently keep the default.
  */
 
 #include <algorithm>
@@ -25,6 +30,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/config.h"
 #include "obs/metrics.h"
 
 namespace sov::bench {
@@ -156,9 +162,15 @@ public:
     std::string defaultPath() const; //!< "BENCH_<name>.json"
     void toJson(std::ostream &os) const;
 
-    /** Writes the report ("" -> defaultPath()), prints the path, and
-     *  returns the process exit code (0 iff every gate passed). */
-    int write(const std::string &path = "") const;
+    /**
+     * Writes the report to the `out` key of @p args ( @p default_path
+     * when absent, "" -> defaultPath()), prints the path, and returns
+     * the process exit code: 0 iff every gate passed. Call it last:
+     * when @p args holds a key that no getter has read, it names the
+     * key(s) on stderr, writes nothing and returns 2.
+     */
+    int write(const Config &args,
+              const std::string &default_path = "") const;
 
 private:
     struct Gate

@@ -80,7 +80,7 @@ runSupervisedFaultDemo(const PlatformModel &platform,
     const std::size_t wrapped = fault::installStageFaults(
         graph, plan, [&sim] { return sim.now(); });
 
-    runtime::AsyncOptions opts;
+    runtime::RunOptions opts;
     opts.frames = 64;
     opts.max_in_flight = 3;
     runtime::StagePolicy policy;
@@ -89,7 +89,7 @@ runSupervisedFaultDemo(const PlatformModel &platform,
     policy.retry_backoff = Duration::millisF(5.0);
     opts.stage_policy = policy;
     const runtime::RunResult run =
-        runtime::DataflowExecutor::runAsync(sim, graph, opts);
+        runtime::DataflowExecutor::run(sim, graph, opts);
 
     std::printf("\n=== faults=%s: supervised async run (%zu frames, "
                 "%zu stages fault-wrapped) ===\n",
@@ -244,12 +244,12 @@ main(int argc, char **argv)
         runtime::StageGraph overlapped;
         buildFig5Graph(overlapped, platform, SovPipelineConfig{},
                        nullptr, Fig5Latency::Mean);
-        runtime::AsyncOptions async;
+        runtime::RunOptions async;
         async.frames = 64;
         async.max_in_flight = 3;
         async.keep_traces = false;
         const runtime::RunResult async_run =
-            runtime::DataflowExecutor::runAsync(overlapped, async);
+            runtime::DataflowExecutor::run(overlapped, async);
         const double sync_hz = model_run.frames[last].latency().toMillis() >
                 0.0
             ? 1000.0 / model_run.frames[last].latency().toMillis()

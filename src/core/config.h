@@ -14,7 +14,14 @@
 
 namespace sov {
 
-/** String-keyed configuration with typed accessors and defaults. */
+/**
+ * String-keyed configuration with typed accessors and defaults.
+ *
+ * Every lookup (has() and the getters) marks its key as read, so a
+ * caller can reject the keys nothing read — typically a mistyped
+ * argument that would otherwise change nothing. The mark is not
+ * synchronized: read one Config from one thread.
+ */
 class Config
 {
   public:
@@ -39,8 +46,20 @@ class Config
     /** All keys, sorted (for help/debug dumps). */
     std::vector<std::string> keys() const;
 
+    /** Keys that no lookup has read yet, sorted. */
+    std::vector<std::string> unreadKeys() const;
+
   private:
-    std::map<std::string, std::string> values_;
+    struct Entry
+    {
+        std::string value;
+        mutable bool read = false;
+    };
+
+    /** The value of @p key, marked read; nullptr when absent. */
+    const std::string *lookup(const std::string &key) const;
+
+    std::map<std::string, Entry> values_;
 };
 
 } // namespace sov

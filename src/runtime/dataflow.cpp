@@ -23,22 +23,14 @@ fnvMix(std::uint64_t &h, std::uint64_t v)
 double
 RunResult::steadyStateThroughputHz() const
 {
-    const std::vector<Timestamp> *times = &finish_times;
-    std::vector<Timestamp> from_traces;
-    if (times->empty()) {
-        from_traces.reserve(frames.size());
-        for (const auto &frame : frames)
-            from_traces.push_back(frame.finish);
-        times = &from_traces;
-    }
-    if (times->size() < 4)
+    if (finish_times.size() < 4)
         return 0.0;
-    const std::size_t half = times->size() / 2;
+    const std::size_t half = finish_times.size() / 2;
     const double seconds =
-        (times->back() - (*times)[half]).toSeconds();
+        (finish_times.back() - finish_times[half]).toSeconds();
     if (seconds <= 0.0)
         return 0.0;
-    return static_cast<double>(times->size() - 1 - half) / seconds;
+    return static_cast<double>(finish_times.size() - 1 - half) / seconds;
 }
 
 std::uint64_t
@@ -66,21 +58,6 @@ RunResult::fingerprint() const
     for (const Timestamp t : finish_times)
         fnvMix(h, static_cast<std::uint64_t>(t.ns()));
     return h;
-}
-
-void
-RunResult::emit(const StageGraph &graph, obs::MetricRegistry &metrics) const
-{
-    for (const auto &frame : frames) {
-        if (frame.failed)
-            continue; // partial spans carry no meaningful timings
-        for (const auto &span : frame.spans) {
-            const std::string &name = graph.stage(span.stage).name;
-            metrics.record(name, span.duration());
-            metrics.record("queue:" + name, span.queueing());
-        }
-        metrics.recordTotal(frame.latency());
-    }
 }
 
 DataflowExecutor::DataflowExecutor(Simulator &sim, StageGraph &graph)
@@ -161,27 +138,6 @@ DataflowExecutor::traceInFlight()
                        static_cast<double>(framesInFlight()));
 }
 
-void
-DataflowExecutor::setStagePolicy(StageId stage, const StagePolicy &policy)
-{
-    SOV_ASSERT(stage < graph_.size());
-    policies_[stage] = policy;
-}
-
-void
-DataflowExecutor::setAllStagePolicies(const StagePolicy &policy)
-{
-    for (StageId s = 0; s < graph_.size(); ++s)
-        policies_[s] = policy;
-}
-
-const StagePolicy *
-DataflowExecutor::policyFor(StageId stage) const
-{
-    const auto it = policies_.find(stage);
-    return it == policies_.end() ? nullptr : &it->second;
-}
-
 std::size_t
 DataflowExecutor::releaseFrame(FrameCallback on_complete)
 {
@@ -216,7 +172,7 @@ DataflowExecutor::tryDispatch(std::uint32_t lane)
     // Supervised execution: attempts run back to back in model time
     // (the watchdog kills a hung/overrunning attempt at the timeout
     // and restarts the stage) until one succeeds or retries run out.
-    const StagePolicy *policy = policyFor(s);
+    const StagePolicy *policy = policy_ ? &*policy_ : nullptr;
     StageExecutor &executor = graph_.executor(s);
     Duration elapsed = Duration::zero();
     bool attempt_failed = false;
@@ -410,72 +366,18 @@ RunResult
 DataflowExecutor::run(StageGraph &graph, const RunOptions &opts)
 {
     Simulator sim;
-    DataflowExecutor exec(sim, graph);
-    exec.setDeadline(opts.deadline);
-    if (opts.trace)
-        exec.attachTrace(opts.trace);
-
-    if (opts.period > Duration::zero()) {
-        // Pipelined: frame f releases at f * period regardless of the
-        // progress of earlier frames.
-        for (std::size_t f = 0; f < opts.frames; ++f) {
-            sim.scheduleAt(Timestamp::origin() +
-                               opts.period * static_cast<double>(f),
-                           [&exec] { exec.releaseFrame(); });
-        }
-        sim.run();
-    } else {
-        // Single-shot: chain releases so frames never contend.
-        struct SerialDriver
-        {
-            DataflowExecutor &exec;
-            std::size_t total;
-            std::size_t released = 0;
-
-            void
-            releaseNext()
-            {
-                if (released >= total)
-                    return;
-                ++released;
-                exec.releaseFrame(
-                    [this](const FrameTrace &) { releaseNext(); });
-            }
-        };
-        SerialDriver driver{exec, opts.frames};
-        driver.releaseNext();
-        sim.run();
-    }
-
-    SOV_ASSERT(exec.framesCompleted() == opts.frames);
-    RunResult result;
-    result.frames = std::move(exec.traces_);
-    result.finish_times.reserve(result.frames.size());
-    for (const auto &frame : result.frames)
-        result.finish_times.push_back(frame.finish);
-    result.deadline_misses = exec.deadlineMisses();
-    result.frames_failed = exec.framesFailed();
-    result.stage_cancellations = exec.stageCancellations();
-    result.growth_events = exec.coreGrowthEvents();
-    return result;
+    return run(sim, graph, opts);
 }
 
 RunResult
-DataflowExecutor::runAsync(StageGraph &graph, const AsyncOptions &opts)
-{
-    Simulator sim;
-    return runAsync(sim, graph, opts);
-}
-
-RunResult
-DataflowExecutor::runAsync(Simulator &sim, StageGraph &graph,
-                           const AsyncOptions &opts)
+DataflowExecutor::run(Simulator &sim, StageGraph &graph,
+                      const RunOptions &opts)
 {
     DataflowExecutor exec(sim, graph);
     exec.setDeadline(opts.deadline);
     exec.setKeepTraces(opts.keep_traces);
     if (opts.stage_policy)
-        exec.setAllStagePolicies(*opts.stage_policy);
+        exec.setStagePolicy(*opts.stage_policy);
     exec.setHealthListener(opts.health);
     exec.attachMetrics(opts.metrics);
     if (opts.trace)
@@ -485,13 +387,12 @@ DataflowExecutor::runAsync(Simulator &sim, StageGraph &graph,
     result.finish_times.reserve(opts.frames);
 
     // Admission-windowed release: a frame enters only while fewer than
-    // `window` frames are in flight. overlap=false forces the window to
-    // 1, which (with a zero period) reproduces single-shot scheduling
-    // bit for bit.
+    // `window` frames are in flight. A window of 1 with a zero period is
+    // single-shot scheduling; a window no smaller than the frame count
+    // never binds, so a positive period releases every frame on its
+    // tick (pipelined scheduling).
     const std::size_t window =
-        opts.overlap ? std::max<std::size_t>(std::size_t{1},
-                                             opts.max_in_flight)
-                     : 1;
+        std::max<std::size_t>(std::size_t{1}, opts.max_in_flight);
     // Steady state begins once the window has cycled a few times; any
     // container growth after this many completions is a leak in the
     // recycling design (the bench gate).
@@ -499,7 +400,7 @@ DataflowExecutor::runAsync(Simulator &sim, StageGraph &graph,
         std::max<std::size_t>(2 * window, std::size_t{4});
     std::uint64_t warmup_growth = 0;
 
-    struct AsyncDriver
+    struct WindowDriver
     {
         DataflowExecutor &exec;
         RunResult &result;
@@ -529,7 +430,7 @@ DataflowExecutor::runAsync(Simulator &sim, StageGraph &graph,
             }
         }
     };
-    AsyncDriver driver{exec,   result,       opts.frames,
+    WindowDriver driver{exec,   result,       opts.frames,
                        window, warmup,       warmup_growth,
                        opts.period <= Duration::zero()};
     if (driver.self_paced) {

@@ -14,18 +14,19 @@
  * The arbitration state (resource lanes, recycled frame slots, payload
  * double-buffers) lives in runtime/sched_core.h; this front end adds
  * supervision (watchdog timeouts, retries, frame abandonment),
- * observability (metric streams, trace spans) and the release
- * strategies:
+ * observability (metric streams, trace spans) and one batch driver,
+ * run(), which releases frames on a period *under an admission
+ * window* (RunOptions::max_in_flight). The paper's execution modes are
+ * the same schedule with a different in-flight bound:
  *
- *  - single-shot (RunOptions, period 0): frame f+1 releases when f
+ *  - single-shot (window 1, period 0): frame f+1 releases when f
  *    completes — the resource-constrained critical path (Fig. 10);
- *  - pipelined (RunOptions, period > 0): frame f releases at f*period
- *    unconditionally — throughput under a fixed input rate;
- *  - asynchronous pipeline-parallel (AsyncOptions / runAsync): frames
- *    release on a period *under an admission window*, so frame N+1's
- *    sensing overlaps frame N's perception across lanes while the
- *    in-flight count — and therefore the payload double-buffer depth —
- *    stays bounded, and steady state allocates nothing.
+ *  - pipelined (window = frames, period > 0): frame f releases at
+ *    f*period unconditionally — throughput under a fixed input rate;
+ *  - asynchronous pipeline-parallel (window 2..3): frame N+1's sensing
+ *    overlaps frame N's perception across lanes while the in-flight
+ *    count — and therefore the payload double-buffer depth — stays
+ *    bounded, and steady state allocates nothing.
  *
  * Per stage instance the executor records a StageSpan (release / ready
  * / start / finish, hence queueing delay = start - ready), and per
@@ -38,7 +39,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -92,46 +92,29 @@ class DataflowHealthListener
     virtual void onFrameCompleted(const FrameTrace &trace) { (void)trace; }
 };
 
-/** Options for a batch run of a StageGraph. */
+/** Options for a batch run of a StageGraph (see DataflowExecutor::run). */
 struct RunOptions
 {
     std::size_t frames = 1;
     /**
-     * Frame release cadence. Zero means single-shot mode: each frame
-     * is released when the previous one finishes, so frames never
-     * contend and per-frame latency equals the resource-constrained
-     * critical path (the Fig. 10 characterization). A positive period
-     * releases frame f at f * period and lets frames pipeline.
-     */
-    Duration period = Duration::zero();
-    /** Per-frame deadline measured from release; unset = no deadline. */
-    std::optional<Duration> deadline;
-    /** Stream stage spans into this recorder (not owned; optional). */
-    obs::TraceRecorder *trace = nullptr;
-};
-
-/** Options for an asynchronous pipeline-parallel batch run. */
-struct AsyncOptions
-{
-    std::size_t frames = 1;
-    /**
      * Release cadence. Zero = self-paced: a frame releases the moment
-     * the admission window has room, so the pipeline saturates at the
-     * bottleneck lane's rate. Positive = frame f is *due* at f*period
-     * but still waits for admission (backpressure defers it to the
-     * completion that frees a slot).
+     * the admission window has room. Positive = frame f is *due* at
+     * f*period but still waits for admission (backpressure defers it
+     * to the completion that frees a slot).
      */
     Duration period = Duration::zero();
     /**
      * Admission window: maximum frames in flight, i.e. the payload
-     * double-buffer depth. 2 = classic double buffering (frame N+1
-     * sensing while frame N perceives).
+     * double-buffer depth. The default 1 with a zero period is
+     * single-shot mode: each frame releases when the previous one
+     * finishes, so frames never contend and per-frame latency equals
+     * the resource-constrained critical path (the Fig. 10
+     * characterization). A window of `frames` with a positive period
+     * never binds: frame f releases at f*period and frames pipeline.
+     * 2 = classic double buffering (frame N+1 sensing while frame N
+     * perceives).
      */
-    std::size_t max_in_flight = 2;
-    /** False forces the window to 1 — no cross-frame overlap. With a
-     *  zero period this reproduces single-shot mode bit for bit (the
-     *  sync-equivalence gate of bench_dataflow). */
-    bool overlap = true;
+    std::size_t max_in_flight = 1;
     /** Per-frame deadline measured from release; unset = no deadline. */
     std::optional<Duration> deadline;
     /** Stream stage spans into this recorder (not owned; optional). */
@@ -144,8 +127,8 @@ struct AsyncOptions
      *  (no fault plan installed, timeout above every stage duration)
      *  leaves the schedule bit-identical to an unsupervised run. */
     std::optional<StagePolicy> stage_policy;
-    /** Supervision observer (not owned; optional) — the async
-     *  front-end's hook for HealthMonitor + DegradationManager. */
+    /** Supervision observer (not owned; optional) — the batch run's
+     *  hook for HealthMonitor + DegradationManager. */
     DataflowHealthListener *health = nullptr;
     /** Stream span samples + supervision counters (not owned). */
     obs::MetricRegistry *metrics = nullptr;
@@ -165,7 +148,7 @@ struct RunResult
     /** Scheduler-core container growths during the run (see
      *  SchedulerCore::growthEvents()). */
     std::uint64_t growth_events = 0;
-    /** Growths after the warmup prefix of an async run — the
+    /** Growths after the warmup prefix of the run — the
      *  zero-steady-state-allocation gate reads exactly this. */
     std::uint64_t steady_growth_events = 0;
 
@@ -183,25 +166,19 @@ struct RunResult
     /** FNV-1a over every span timestamp/flag of every kept frame —
      *  the bit-identity fingerprint of a schedule. */
     std::uint64_t fingerprint() const;
-
-    /** Record per-stage durations, per-stage "queue:<name>" delays and
-     *  end-to-end totals into @p metrics. */
-    void emit(const StageGraph &graph, obs::MetricRegistry &metrics) const;
 };
 
 /**
  * Event-driven executor binding one StageGraph to one Simulator.
  *
- * Three modes of use:
+ * Two modes of use:
  *  - releaseFrame() from your own event loop (the closed-loop sim
  *    releases one frame per planning cycle and transmits the actuation
  *    command from the completion callback);
- *  - the static run() convenience, which owns a private Simulator and
- *    releases a fixed number of frames (batch characterization and
- *    bench_ablation_pipelining's pipelined schedules);
- *  - the static runAsync() convenience: admission-windowed pipeline
- *    parallelism with recycled per-frame state (bench_dataflow and the
- *    throughput side of the Fig. 5 characterizations).
+ *  - the static run() batch driver: a fixed number of frames released
+ *    through the admission window of RunOptions, with recycled
+ *    per-frame state (the Fig. 10 single-shot characterization, the
+ *    pipelined schedules and bench_dataflow's overlapped runs).
  */
 class DataflowExecutor
 {
@@ -219,12 +196,9 @@ class DataflowExecutor
         deadline_ = deadline;
     }
 
-    /** Supervise @p stage with @p policy (watchdog timeout + retries).
-     *  Call before releasing frames. */
-    void setStagePolicy(StageId stage, const StagePolicy &policy);
-
-    /** Apply @p policy to every stage of the graph. */
-    void setAllStagePolicies(const StagePolicy &policy);
+    /** Supervise every stage with @p policy (watchdog timeout +
+     *  retries). Call before releasing frames. */
+    void setStagePolicy(const StagePolicy &policy) { policy_ = policy; }
 
     /** Attach the health observer (nullptr detaches). */
     void setHealthListener(DataflowHealthListener *listener)
@@ -248,7 +222,7 @@ class DataflowExecutor
      * here, so per-frame emission stays allocation-free.
      * @param emit_in_flight Also emit a "frames_in_flight" counter on
      *        every release and retirement — the Perfetto view of the
-     *        async admission window. Off by default so existing traces
+     *        admission window. Off by default so existing traces
      *        keep their exact event content.
      */
     void attachTrace(obs::TraceRecorder *recorder,
@@ -290,18 +264,15 @@ class DataflowExecutor
     /** Scheduler-core container growths (steady state: constant). */
     std::uint64_t coreGrowthEvents() const { return core_.growthEvents(); }
 
-    /** Run @p opts.frames frames of @p graph on a private Simulator. */
+    /** Run @p opts.frames frames of @p graph on a private Simulator,
+     *  released through the admission window (see RunOptions). */
     static RunResult run(StageGraph &graph, const RunOptions &opts);
-
-    /** Asynchronous pipeline-parallel batch run of @p graph on a
-     *  private Simulator (see AsyncOptions). */
-    static RunResult runAsync(StageGraph &graph, const AsyncOptions &opts);
 
     /** Same, but on the caller's Simulator — the closed-loop sim and
      *  fault benches share one clock with the fault plan and health
      *  layer this way. The simulator is run to quiescence. */
-    static RunResult runAsync(Simulator &sim, StageGraph &graph,
-                              const AsyncOptions &opts);
+    static RunResult run(Simulator &sim, StageGraph &graph,
+                         const RunOptions &opts);
 
   private:
     /** Interned obs names, filled by attachTrace(). */
@@ -330,7 +301,6 @@ class DataflowExecutor
                        StageId stage, bool stage_failed);
     void completeFrame(std::uint32_t slot_idx);
     void failFrame(std::uint32_t slot_idx, StageId stage);
-    const StagePolicy *policyFor(StageId stage) const;
     /** Emit the spans of a resolved frame into the recorder. */
     void traceFrame(const FrameTrace &trace);
     void traceInFlight();
@@ -344,7 +314,7 @@ class DataflowExecutor
     bool trace_in_flight_ = false;
     TraceIds trace_ids_;
     DataflowHealthListener *health_ = nullptr;
-    std::map<StageId, StagePolicy> policies_;
+    std::optional<StagePolicy> policy_;
     std::optional<Duration> deadline_;
     bool keep_traces_ = true;
     std::uint64_t next_frame_ = 0;

@@ -1,8 +1,10 @@
 /**
  * @file
  * The scheduling core of the runtime dataflow layer, split out of
- * DataflowExecutor so every front-end mode — single-shot, pipelined,
- * and asynchronous pipeline-parallel — shares one arbitration path.
+ * DataflowExecutor so both of its front ends — the admission-windowed
+ * batch run() (single-shot, pipelined and overlapped schedules alike)
+ * and the event-driven releaseFrame() of the closed loop — share one
+ * arbitration path.
  *
  * The core owns the *state* of an executing StageGraph and none of its
  * *policy*: resource lanes (in-order instance rings), recycled frame

@@ -62,7 +62,7 @@ ClosedLoopSim::ClosedLoopSim(World &world, Polyline2 route,
         policy.timeout = config_.stage_watchdog;
         policy.max_retries = config_.stage_max_retries;
         policy.retry_backoff = config_.stage_retry_backoff;
-        pipeline_exec_.setAllStagePolicies(policy);
+        pipeline_exec_.setStagePolicy(policy);
     }
 
     if (config_.enable_health) {

@@ -42,7 +42,7 @@ namespace sov {
  *
  * Sync is the classic load-shedding loop: a cycle whose frame finds
  * max_frames_in_flight frames already in flight drops it outright.
- * Async mirrors DataflowExecutor::runAsync's admission window inside
+ * Async mirrors DataflowExecutor::run's admission window inside
  * the closed loop: the congested cycle still plans, but its frame is
  * *deferred* — parked until the completion that frees a window slot
  * admits it (backpressure instead of loss). A newer cycle supersedes

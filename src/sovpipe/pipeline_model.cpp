@@ -65,6 +65,7 @@ SovPipelineModel::characterize(std::size_t frames)
     runtime::RunOptions pipelined;
     pipelined.frames = 64;
     pipelined.period = Duration::seconds(1.0 / config_.frame_rate_hz);
+    pipelined.max_in_flight = pipelined.frames;
     stats.throughput_hz =
         runtime::DataflowExecutor::run(mean_graph, pipelined)
             .steadyStateThroughputHz();
@@ -76,11 +77,11 @@ SovPipelineModel::characterize(std::size_t frames)
     runtime::StageGraph async_graph;
     buildFig5Graph(async_graph, model_, config_, nullptr,
                    Fig5Latency::Mean);
-    runtime::AsyncOptions async;
+    runtime::RunOptions async;
     async.frames = 64;
     async.max_in_flight = 3;
     stats.async_throughput_hz =
-        runtime::DataflowExecutor::runAsync(async_graph, async)
+        runtime::DataflowExecutor::run(async_graph, async)
             .steadyStateThroughputHz();
     return stats;
 }

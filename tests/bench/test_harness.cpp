@@ -6,9 +6,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <limits>
 #include <sstream>
 
+#include "core/config.h"
 #include "harness.h"
 #include "obs/metrics.h"
 
@@ -106,13 +109,37 @@ TEST(BenchHarness, PassIsAndOfGatesAndDrivesExitCode)
     EXPECT_FALSE(report.pass());
     EXPECT_NE(render(report).find("\"pass\": false"), std::string::npos);
 
-    const std::string path =
-        ::testing::TempDir() + "/BENCH_gates_test.json";
-    EXPECT_EQ(report.write(path), 1);
+    Config args;
+    args.set("out", ::testing::TempDir() + "/BENCH_gates_test.json");
+    EXPECT_EQ(report.write(args), 1);
 
     bench::BenchReport passing("gates_ok");
     passing.gate("a", true);
-    EXPECT_EQ(passing.write(path), 0);
+    EXPECT_EQ(passing.write(args), 0);
+}
+
+TEST(BenchHarness, UnreadArgumentExitsTwoAndWritesNothing)
+{
+    const std::string path =
+        ::testing::TempDir() + "/BENCH_unread_test.json";
+    std::remove(path.c_str());
+    const std::string out_arg = "out=" + path;
+    const char *argv[] = {"bench", "smoke=1", "stereo_flor=0",
+                          out_arg.c_str()};
+    const Config args = Config::fromArgs(4, argv);
+    EXPECT_TRUE(args.getBool("smoke", false)); // the bench's one option
+
+    bench::BenchReport report("unread");
+    report.gate("a", true);
+    // The mistyped key was never read: exit 2, no report on disk.
+    EXPECT_EQ(report.write(args), 2);
+    EXPECT_FALSE(std::ifstream(path).good());
+    EXPECT_EQ(args.unreadKeys(), std::vector<std::string>{"stereo_flor"});
+
+    // Once every argument has been read, the same report is written.
+    EXPECT_EQ(args.getDouble("stereo_flor", 1.0), 0.0);
+    EXPECT_EQ(report.write(args), 0);
+    EXPECT_TRUE(std::ifstream(path).good());
 }
 
 TEST(BenchHarness, MetaOverwritesInPlace)

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/config.h"
 
 namespace sov {
@@ -56,6 +59,21 @@ TEST(Config, KeysSorted)
     ASSERT_EQ(keys.size(), 2u);
     EXPECT_EQ(keys[0], "alpha");
     EXPECT_EQ(keys[1], "zeta");
+}
+
+TEST(Config, UnreadKeysAreThoseNoLookupTouched)
+{
+    const char *argv[] = {"prog", "frames=8", "smoke=1", "flor=2",
+                          "out=x.json"};
+    const Config cfg = Config::fromArgs(5, argv);
+    EXPECT_EQ(cfg.unreadKeys(),
+              (std::vector<std::string>{"flor", "frames", "out", "smoke"}));
+    EXPECT_EQ(cfg.getInt("frames", 0), 8);
+    EXPECT_TRUE(cfg.has("smoke"));
+    EXPECT_EQ(cfg.getString("out", ""), "x.json");
+    // Looking up an absent key marks nothing.
+    EXPECT_EQ(cfg.getDouble("floor", 1.5), 1.5);
+    EXPECT_EQ(cfg.unreadKeys(), std::vector<std::string>{"flor"});
 }
 
 } // namespace

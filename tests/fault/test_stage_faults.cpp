@@ -82,7 +82,7 @@ TEST(StageFaults, WatchdogRetriesCrashUntilExhausted)
     DataflowExecutor exec(sim, g);
     StagePolicy policy;
     policy.max_retries = 2;
-    exec.setAllStagePolicies(policy);
+    exec.setStagePolicy(policy);
     exec.releaseFrame();
     sim.run();
 
@@ -104,7 +104,7 @@ TEST(StageFaults, WatchdogTruncatesHang)
     DataflowExecutor exec(sim, g);
     StagePolicy policy;
     policy.timeout = Duration::millisF(50.0);
-    exec.setAllStagePolicies(policy);
+    exec.setStagePolicy(policy);
     exec.releaseFrame();
     sim.run();
 
@@ -186,7 +186,7 @@ TEST(StageFaults, WindowedCrashHitsOnlyFramesInsideWindow)
     DataflowExecutor exec(sim, g);
     StagePolicy policy;
     policy.max_retries = 0;
-    exec.setAllStagePolicies(policy);
+    exec.setStagePolicy(policy);
 
     bool first_failed = false;
     bool second_failed = true;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "analysis/energy_model.h"
 #include "analysis/latency_model.h"
@@ -87,6 +88,15 @@ struct CacheCase
     std::uint64_t size_kb;
     std::uint32_t assoc;
 };
+
+// gtest_discover_tests names a value-parameterized ctest entry after
+// the printed parameter; without this printer that is a byte dump of
+// the struct, padding included, which changes from build to build.
+void
+PrintTo(const CacheCase &c, std::ostream *os)
+{
+    *os << "kb" << c.size_kb << "_ways" << c.assoc;
+}
 
 class CacheContainment : public ::testing::TestWithParam<CacheCase>
 {

@@ -34,62 +34,51 @@ fig5StageGraph()
     return g;
 }
 
+// Fingerprints of the single-shot and pipelined schedules as the
+// former dedicated (unwindowed) batch driver produced them: the one
+// windowed driver must keep reproducing both bit for bit.
+constexpr std::uint64_t kSingleShot24Fingerprint = 0x61b58eb149709f2eULL;
+constexpr std::uint64_t kPipelined16x100msFingerprint =
+    0xe827b08a6b96c0b6ULL;
+
 TEST(AsyncDataflow, OverlapOffBitIdenticalToSyncExecutor)
 {
+    // Overlap off (window 1, zero period): frame f+1 releases the
+    // instant frame f completes, so every frame runs the 140 ms
+    // critical path back to back.
     const std::size_t frames = 24;
-    StageGraph sync_graph = fig5StageGraph();
-    RunOptions sync_opts;
-    sync_opts.frames = frames;
-    const RunResult sync = DataflowExecutor::run(sync_graph, sync_opts);
+    StageGraph graph = fig5StageGraph();
+    RunOptions opts;
+    opts.frames = frames;
+    const RunResult run = DataflowExecutor::run(graph, opts);
 
-    StageGraph async_graph = fig5StageGraph();
-    AsyncOptions async_opts;
-    async_opts.frames = frames;
-    async_opts.overlap = false;
-    const RunResult async =
-        DataflowExecutor::runAsync(async_graph, async_opts);
-
-    ASSERT_EQ(async.frames.size(), sync.frames.size());
+    ASSERT_EQ(run.frames.size(), frames);
     for (std::size_t f = 0; f < frames; ++f) {
-        EXPECT_EQ(async.frames[f].release.ns(),
-                  sync.frames[f].release.ns());
-        EXPECT_EQ(async.frames[f].finish.ns(),
-                  sync.frames[f].finish.ns());
-        for (std::size_t s = 0; s < sync_graph.size(); ++s) {
-            const StageSpan &a = async.frames[f].spans[s];
-            const StageSpan &b = sync.frames[f].spans[s];
-            EXPECT_EQ(a.ready.ns(), b.ready.ns())
-                << "frame " << f << " stage " << s;
-            EXPECT_EQ(a.start.ns(), b.start.ns())
-                << "frame " << f << " stage " << s;
-            EXPECT_EQ(a.finish.ns(), b.finish.ns())
-                << "frame " << f << " stage " << s;
-        }
+        EXPECT_EQ(run.frames[f].release.ns(),
+                  Duration::millis(140).ns() * static_cast<std::int64_t>(f));
+        EXPECT_DOUBLE_EQ(run.frames[f].latency().toMillis(), 140.0);
     }
-    EXPECT_EQ(async.fingerprint(), sync.fingerprint());
+    EXPECT_EQ(run.fingerprint(), kSingleShot24Fingerprint);
 }
 
 TEST(AsyncDataflow, PeriodicAsyncWithWideWindowMatchesPipelinedRun)
 {
-    // With the admission window out of the way, the periodic async
-    // driver degenerates to the pipelined run() mode exactly.
+    // With the admission window out of the way, frame f releases at
+    // f * period unconditionally: the pipelined schedule.
     const std::size_t frames = 16;
-    const Duration period = Duration::millis(100);
+    StageGraph graph = fig5StageGraph();
+    RunOptions opts;
+    opts.frames = frames;
+    opts.period = Duration::millis(100);
+    opts.max_in_flight = frames;
+    const RunResult run = DataflowExecutor::run(graph, opts);
 
-    StageGraph pipelined_graph = fig5StageGraph();
-    RunOptions pipelined;
-    pipelined.frames = frames;
-    pipelined.period = period;
-    const RunResult a = DataflowExecutor::run(pipelined_graph, pipelined);
-
-    StageGraph async_graph = fig5StageGraph();
-    AsyncOptions async;
-    async.frames = frames;
-    async.period = period;
-    async.max_in_flight = frames;
-    const RunResult b = DataflowExecutor::runAsync(async_graph, async);
-
-    EXPECT_EQ(a.fingerprint(), b.fingerprint());
+    ASSERT_EQ(run.frames.size(), frames);
+    for (std::size_t f = 0; f < frames; ++f) {
+        EXPECT_EQ(run.frames[f].release.ns(),
+                  (opts.period * static_cast<double>(f)).ns());
+    }
+    EXPECT_EQ(run.fingerprint(), kPipelined16x100msFingerprint);
 }
 
 TEST(AsyncDataflow, FingerprintsThreadCountIndependent)
@@ -104,10 +93,10 @@ TEST(AsyncDataflow, FingerprintsThreadCountIndependent)
         std::vector<std::uint64_t> fps(kJobs, 0);
         pool.parallelFor(kJobs, [&fps](std::size_t j) {
             StageGraph graph = fig5StageGraph();
-            AsyncOptions opts;
+            RunOptions opts;
             opts.frames = 8 + j;
             opts.max_in_flight = 1 + j % 3;
-            fps[j] = DataflowExecutor::runAsync(graph, opts).fingerprint();
+            fps[j] = DataflowExecutor::run(graph, opts).fingerprint();
         });
         per_pool.push_back(std::move(fps));
     }
@@ -121,18 +110,18 @@ TEST(AsyncDataflow, DisabledTracingIsBitTransparent)
     // attaching one must be free of any trace side effects.
     const std::size_t frames = 12;
     StageGraph bare_graph = fig5StageGraph();
-    AsyncOptions bare;
+    RunOptions bare;
     bare.frames = frames;
     bare.max_in_flight = 3;
     const RunResult without =
-        DataflowExecutor::runAsync(bare_graph, bare);
+        DataflowExecutor::run(bare_graph, bare);
 
     obs::TraceRecorder recorder;
     StageGraph traced_graph = fig5StageGraph();
-    AsyncOptions traced = bare;
+    RunOptions traced = bare;
     traced.trace = &recorder;
     const RunResult with =
-        DataflowExecutor::runAsync(traced_graph, traced);
+        DataflowExecutor::run(traced_graph, traced);
 
     EXPECT_EQ(without.fingerprint(), with.fingerprint());
     EXPECT_GT(recorder.eventCount(), 0u);
@@ -148,11 +137,11 @@ TEST(AsyncDataflow, SelfPacedThroughputBeatsSingleShotBy1_5x)
                                  .steadyStateThroughputHz();
 
     StageGraph async_graph = fig5StageGraph();
-    AsyncOptions async;
+    RunOptions async;
     async.frames = frames;
     async.max_in_flight = 3;
     const double async_hz =
-        DataflowExecutor::runAsync(async_graph, async)
+        DataflowExecutor::run(async_graph, async)
             .steadyStateThroughputHz();
 
     // Single-shot: 140 ms critical path = 7.14 Hz. Self-paced async
@@ -164,10 +153,10 @@ TEST(AsyncDataflow, SelfPacedThroughputBeatsSingleShotBy1_5x)
 TEST(AsyncDataflow, FramesActuallyOverlapAcrossTheWindow)
 {
     StageGraph graph = fig5StageGraph();
-    AsyncOptions opts;
+    RunOptions opts;
     opts.frames = 8;
     opts.max_in_flight = 2;
-    const RunResult run = DataflowExecutor::runAsync(graph, opts);
+    const RunResult run = DataflowExecutor::run(graph, opts);
 
     // Frame f+1's sensing must start before frame f finishes (the
     // overlap the single-shot mode forbids).
@@ -184,11 +173,11 @@ TEST(AsyncDataflow, BackpressureBoundsFramesInFlight)
     // Release far faster than the 86 ms bottleneck: admission must
     // defer due frames so at most `window` frames are ever in flight.
     StageGraph graph = fig5StageGraph();
-    AsyncOptions opts;
+    RunOptions opts;
     opts.frames = 16;
     opts.period = Duration::millis(10);
     opts.max_in_flight = 2;
-    const RunResult run = DataflowExecutor::runAsync(graph, opts);
+    const RunResult run = DataflowExecutor::run(graph, opts);
 
     ASSERT_EQ(run.frames.size(), opts.frames);
     for (std::size_t f = 0; f < run.frames.size(); ++f) {
@@ -211,11 +200,11 @@ TEST(AsyncDataflow, BackpressureBoundsFramesInFlight)
 TEST(AsyncDataflow, SteadyStateGrowsNoContainers)
 {
     StageGraph graph = fig5StageGraph();
-    AsyncOptions opts;
+    RunOptions opts;
     opts.frames = 96;
     opts.max_in_flight = 3;
     opts.keep_traces = false;
-    const RunResult run = DataflowExecutor::runAsync(graph, opts);
+    const RunResult run = DataflowExecutor::run(graph, opts);
     EXPECT_EQ(run.frames.size(), 0u); // traces off
     EXPECT_EQ(run.finish_times.size(), opts.frames);
     EXPECT_GT(run.growth_events, 0u); // warmup did size the pools
@@ -255,11 +244,11 @@ TEST(AsyncDataflow, PayloadRingIsNotCorruptedByOverlap)
         },
         {produce});
 
-    AsyncOptions opts;
+    RunOptions opts;
     opts.frames = 32;
     opts.max_in_flight = kDepth;
     opts.keep_traces = false;
-    const RunResult run = DataflowExecutor::runAsync(graph, opts);
+    const RunResult run = DataflowExecutor::run(graph, opts);
 
     EXPECT_EQ(mismatches, 0u);
     EXPECT_EQ(run.steady_growth_events, 0u);
@@ -287,7 +276,7 @@ TEST(AsyncDataflow, PayloadRingIsNotCorruptedByOverlap)
             return Duration::millisF(6.0);
         },
         {p2});
-    DataflowExecutor::runAsync(second, opts);
+    DataflowExecutor::run(second, opts);
     EXPECT_EQ(second_mismatches, 0u);
     EXPECT_EQ(ring.systemAllocations(), warm);
 }

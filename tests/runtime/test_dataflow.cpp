@@ -59,6 +59,7 @@ TEST(Dataflow, DeadlineMissesAtOverloadedFrameRate)
     RunOptions opts;
     opts.frames = 32;
     opts.period = Duration::millis(100);
+    opts.max_in_flight = opts.frames;
     opts.deadline = Duration::millis(120);
     const RunResult r = DataflowExecutor::run(g, opts);
 
@@ -79,6 +80,7 @@ TEST(Dataflow, NoMissesWhenPipelineKeepsUp)
     RunOptions opts;
     opts.frames = 16;
     opts.period = Duration::millis(100);
+    opts.max_in_flight = opts.frames;
     opts.deadline = Duration::millis(120);
     const RunResult r = DataflowExecutor::run(g, opts);
     EXPECT_EQ(r.deadline_misses, 0u);

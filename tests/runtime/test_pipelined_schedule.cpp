@@ -26,6 +26,7 @@ schedule(StageGraph &g, std::size_t frames, Duration period)
     RunOptions opts;
     opts.frames = frames;
     opts.period = period;
+    opts.max_in_flight = frames;
     return DataflowExecutor::run(g, opts);
 }
 

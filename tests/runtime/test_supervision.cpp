@@ -101,14 +101,14 @@ TEST(AsyncSupervision, AbandonmentRevokesInFlightSiblingStage)
     StageGraph graph;
     const ForkJoinIds ids = forkJoinGraph(graph, kHangFrame);
 
-    AsyncOptions opts;
+    RunOptions opts;
     opts.frames = 6;
     opts.max_in_flight = 2;
     StagePolicy policy;
     policy.timeout = Duration::millisF(50.0);
     policy.max_retries = 0;
     opts.stage_policy = policy;
-    const RunResult run = DataflowExecutor::runAsync(graph, opts);
+    const RunResult run = DataflowExecutor::run(graph, opts);
 
     ASSERT_EQ(run.frames.size(), opts.frames);
     EXPECT_EQ(run.frames_failed, 1u);
@@ -165,18 +165,18 @@ TEST(AsyncSupervision, RetryBackoffShiftsScheduleByExactlyThePause)
 
     StageGraph plain_graph;
     const StageId plain_b = build(plain_graph);
-    AsyncOptions opts;
+    RunOptions opts;
     opts.frames = 4;
     opts.max_in_flight = 1;
     opts.stage_policy = policy;
-    const RunResult plain = DataflowExecutor::runAsync(plain_graph, opts);
+    const RunResult plain = DataflowExecutor::run(plain_graph, opts);
 
     StageGraph delayed_graph;
     build(delayed_graph);
-    AsyncOptions delayed_opts = opts;
+    RunOptions delayed_opts = opts;
     delayed_opts.stage_policy->retry_backoff = backoff;
     const RunResult delayed =
-        DataflowExecutor::runAsync(delayed_graph, delayed_opts);
+        DataflowExecutor::run(delayed_graph, delayed_opts);
 
     ASSERT_EQ(plain.frames.size(), delayed.frames.size());
     for (std::size_t f = 0; f < plain.frames.size(); ++f) {
@@ -196,9 +196,9 @@ TEST(AsyncSupervision, RetryBackoffShiftsScheduleByExactlyThePause)
     // Zero backoff is bit-identical to the pre-backoff supervisor.
     StageGraph zero_graph;
     build(zero_graph);
-    AsyncOptions zero_opts = opts;
+    RunOptions zero_opts = opts;
     zero_opts.stage_policy->retry_backoff = Duration::zero();
-    EXPECT_EQ(DataflowExecutor::runAsync(zero_graph, zero_opts)
+    EXPECT_EQ(DataflowExecutor::run(zero_graph, zero_opts)
                   .fingerprint(),
               plain.fingerprint());
 }
@@ -209,21 +209,21 @@ TEST(AsyncSupervision, IdlePolicyBitIdenticalToUnsupervisedRun)
     // duration, healthy executors) must not perturb the schedule.
     StageGraph bare_graph;
     forkJoinGraph(bare_graph, 9999);
-    AsyncOptions bare;
+    RunOptions bare;
     bare.frames = 12;
     bare.max_in_flight = 2;
-    const RunResult unsup = DataflowExecutor::runAsync(bare_graph, bare);
+    const RunResult unsup = DataflowExecutor::run(bare_graph, bare);
 
     StageGraph sup_graph;
     forkJoinGraph(sup_graph, 9999);
-    AsyncOptions sup = bare;
+    RunOptions sup = bare;
     StagePolicy policy;
     policy.timeout = Duration::seconds(5.0);
     policy.max_retries = 3;
     policy.retry_backoff = Duration::millisF(25.0);
     sup.stage_policy = policy;
     const RunResult supervised =
-        DataflowExecutor::runAsync(sup_graph, sup);
+        DataflowExecutor::run(sup_graph, sup);
 
     EXPECT_EQ(supervised.fingerprint(), unsup.fingerprint());
     EXPECT_EQ(supervised.frames_failed, 0u);
