@@ -125,10 +125,21 @@ main(int argc, char **argv)
     const auto seed = static_cast<std::uint64_t>(config.getInt("seed", 1));
     const double horizon_s = config.getDouble("horizon_s", 2.0);
     const std::size_t hw = ThreadPool::defaultThreads();
-    const auto workers = static_cast<std::size_t>(
-        config.getInt("workers", static_cast<std::int64_t>(hw)));
-    const auto probes = static_cast<std::size_t>(
-        config.getInt("probes", smoke ? 6 : 16));
+    const std::int64_t workers_arg =
+        config.getInt("workers", static_cast<std::int64_t>(hw));
+    const std::int64_t probes_arg = config.getInt("probes", smoke ? 6 : 16);
+    // A negative count would wrap through size_t (a ThreadPool asked
+    // for ~2^64 workers); reject it before any pool is built.
+    if (workers_arg < 1 || probes_arg < 1 || !std::isfinite(horizon_s) ||
+        horizon_s <= 0.0) {
+        std::fprintf(stderr,
+                     "usage: bench_fleet_service [smoke=1] [seed=N] "
+                     "[horizon_s=S (finite, > 0)] [workers=N (N > 0)] "
+                     "[probes=N (N > 0)] [out=PATH]\n");
+        return 2;
+    }
+    const auto workers = static_cast<std::size_t>(workers_arg);
+    const auto probes = static_cast<std::size_t>(probes_arg);
 
     bench::BenchReport report("fleet_service");
     report.setSmoke(smoke);

@@ -18,6 +18,7 @@
  * smoke=1 runs the reduced (~40 scenario) matrix for CI.
  */
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <vector>
@@ -81,12 +82,24 @@ main(int argc, char **argv)
     const Config config = Config::fromArgs(argc, argv);
     const bool smoke = config.getBool("smoke", false);
     const auto seed = static_cast<std::uint64_t>(config.getInt("seed", 1));
-    const auto seeds =
-        static_cast<std::size_t>(config.getInt("seeds", smoke ? 1 : 4));
+    const std::int64_t seeds_arg = config.getInt("seeds", smoke ? 1 : 4);
     const double horizon_s = config.getDouble("horizon_s", 40.0);
     const std::size_t hw = ThreadPool::defaultThreads();
-    const auto max_threads = static_cast<std::size_t>(
-        config.getInt("max_threads", static_cast<std::int64_t>(hw)));
+    const std::int64_t threads_arg =
+        config.getInt("max_threads", static_cast<std::int64_t>(hw));
+    // A negative count would wrap through size_t (a near-endless seed
+    // list, or a ThreadPool asked for ~2^64 threads); reject it before
+    // any pool is built.
+    if (seeds_arg < 1 || threads_arg < 1 || !std::isfinite(horizon_s) ||
+        horizon_s <= 0.0) {
+        std::fprintf(stderr,
+                     "usage: bench_fleet_sweep [smoke=1] [seed=N] "
+                     "[seeds=N (N > 0)] [horizon_s=S (finite, > 0)] "
+                     "[max_threads=N (N > 0)] [out=PATH]\n");
+        return 2;
+    }
+    const auto seeds = static_cast<std::size_t>(seeds_arg);
+    const auto max_threads = static_cast<std::size_t>(threads_arg);
 
     const ScenarioMatrix matrix =
         buildMatrix(smoke, seed, seeds, horizon_s);

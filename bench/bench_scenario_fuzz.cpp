@@ -25,6 +25,7 @@
  * seed that rebuilds its world via fuzzWorldPreset(seed) — the
  * one-seed repro for any incident in the table.
  */
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <string>
@@ -178,10 +179,19 @@ main(int argc, char **argv)
 {
     const Config config = Config::fromArgs(argc, argv);
     const bool smoke = config.getBool("smoke", false);
-    const auto worlds = static_cast<std::size_t>(
-        config.getInt("worlds", smoke ? 12 : 200));
+    const std::int64_t worlds_arg = config.getInt("worlds", smoke ? 12 : 200);
     const auto seed = static_cast<std::uint64_t>(config.getInt("seed", 1));
     const double horizon_s = config.getDouble("horizon_s", 20.0);
+    // A negative count would wrap through size_t; reject it (and a
+    // horizon that is not a positive number) before any pool is built.
+    if (worlds_arg < 1 || !std::isfinite(horizon_s) || horizon_s <= 0.0) {
+        std::fprintf(stderr,
+                     "usage: bench_scenario_fuzz [smoke=1] "
+                     "[worlds=N (N > 0)] [seed=N] "
+                     "[horizon_s=S (finite, > 0)] [out=PATH]\n");
+        return 2;
+    }
+    const auto worlds = static_cast<std::size_t>(worlds_arg);
 
     const bool cv_ok = cvBitIdentity();
     std::printf("cv bit-identity (stepped vs analytic): %s\n",

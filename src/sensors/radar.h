@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/rng.h"
@@ -66,6 +67,17 @@ class RadarModel
      *        corridor, typically half the vehicle width plus margin.
      */
     std::optional<double> nearestInPath(const WorldSnapshot &world,
+                                        const Pose2 &body,
+                                        double corridor_half_width,
+                                        Timestamp t) const;
+
+    /**
+     * nearestInPath over obstacle footprints already prepared at
+     * @p t (the closed loop builds one table per physics step and
+     * shares it with the gap monitor). Bit-identical to the snapshot
+     * form on the same footprints.
+     */
+    std::optional<double> nearestInPath(std::span<const BoxFrame> obstacles,
                                         const Pose2 &body,
                                         double corridor_half_width,
                                         Timestamp t) const;

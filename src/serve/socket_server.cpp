@@ -227,10 +227,19 @@ const TenantConfig *SocketServer::findTenant(const std::string &name) const
 bool SocketServer::handleLine(const std::string &line,
                               std::vector<std::string> &out)
 {
+    const std::size_t mark = out.size();
     try {
         return dispatch(parseRequest(line), out);
     } catch (const BadParam &e) {
         out.push_back(std::string("ERR bad_param ") + e.what());
+        return true;
+    } catch (const std::exception &e) {
+        // Any other failure answers this request only: an exception
+        // escaping here would end the connection thread in
+        // std::terminate. Lines this request queued before the throw
+        // are dropped, so the reply is the one ERR line.
+        out.resize(mark);
+        out.push_back(std::string("ERR internal ") + e.what());
         return true;
     }
 }

@@ -70,8 +70,11 @@ class SocketServer
     /**
      * Handle one request line, appending protocol response lines to
      * @p out (ROWS/CATALOG append a stream before the terminal OK).
-     * Returns false when the connection should close (QUIT). Public —
-     * this is the whole protocol engine, tested without a socket.
+     * Returns false when the connection should close (QUIT). A request
+     * that throws is answered "ERR bad_param <key>" (BadParam) or
+     * "ERR internal <what>" (anything else); the connection stays
+     * open. Public — this is the whole protocol engine, tested
+     * without a socket.
      */
     bool handleLine(const std::string &line, std::vector<std::string> &out);
 

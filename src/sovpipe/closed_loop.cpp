@@ -368,7 +368,8 @@ ClosedLoopSim::physicsStep()
 
     // Step the agent timeline before any sensing this step.
     world_.advanceTo(sim_.now(), vehicle_.pose(), vehicle_.speed());
-    const WorldSnapshot snap = world_.snapshot();
+    const std::vector<Obstacle> &obstacles = world_.obstacles();
+    step_boxes_.prepare(obstacles, sim_.now());
 
     // Reactive path: the radar watch runs at sensor rate, far faster
     // than the planner (it bypasses the computing pipeline, Sec. IV).
@@ -386,8 +387,8 @@ ClosedLoopSim::physicsStep()
         } else {
             if (health_)
                 health_->noteHeartbeat("radar", sim_.now());
-            reactive_.evaluate(snap, vehicle_.pose(), vehicle_.speed(),
-                               sim_.now());
+            reactive_.evaluate(step_boxes_.frames(), vehicle_.pose(),
+                               vehicle_.speed(), sim_.now());
             if (recorder_) {
                 // Surface each new reactive-brake engagement as an
                 // instant on the loop lane.
@@ -407,14 +408,12 @@ ClosedLoopSim::physicsStep()
     // Gap and collision monitoring against every obstacle, plus the
     // triage facts (offending agent, time-to-collision) the scenario
     // fuzzer mines for near misses.
-    const auto &obstacles = snap.obstacles();
     if (prev_gaps_.size() != obstacles.size())
         prev_gaps_.assign(obstacles.size(), 1e18);
-    const OrientedBox2 ego{vehicle_.pose(), 1.3, 0.7};
+    const BoxFrame ego = BoxFrame::of(OrientedBox2{vehicle_.pose(), 1.3, 0.7});
     for (std::size_t i = 0; i < obstacles.size(); ++i) {
         const Obstacle &obs = obstacles[i];
-        const OrientedBox2 box = obs.footprintAt(sim_.now());
-        const double gap = ego.distanceTo(box);
+        const double gap = boxGap(ego, step_boxes_.frames()[i]);
         if (gap < result_.min_gap) {
             result_.min_gap = gap;
             result_.nearest_obstacle = obs.id;

@@ -282,6 +282,10 @@ class ClosedLoopSim
     /** Previous physics step's gap per obstacle (index-aligned with
      *  world obstacles), for the TTC closing-rate estimate. */
     std::vector<double> prev_gaps_;
+    /** This physics step's obstacle footprints at sim_.now(),
+     *  index-aligned with world obstacles: built once per step, read
+     *  by the radar and the gap monitor. */
+    PreparedObstacles step_boxes_;
     std::uint64_t cycles_ = 0;
     std::uint64_t reactive_cycles_ = 0;
     std::uint64_t proactive_cycles_ = 0;

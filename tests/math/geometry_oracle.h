@@ -10,6 +10,7 @@
 #pragma once
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <utility>
@@ -84,6 +85,16 @@ distanceTo(const OrientedBox2 &a, const OrientedBox2 &o)
         }
     }
     return best;
+}
+
+/** The containment test as it stood: the point in the box's frame
+ *  from Pose2::inverseTransform. */
+inline bool
+contains(const OrientedBox2 &box, const Vec2 &p)
+{
+    const Vec2 local = box.pose.inverseTransform(p);
+    return std::fabs(local.x()) <= box.half_length &&
+           std::fabs(local.y()) <= box.half_width;
 }
 
 /** Bit pattern of a double: exact equality that also tells -0 from +0. */

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -120,6 +121,25 @@ TEST(SocketServer, ProtocolErrorsAreErrLines)
     EXPECT_EQ(roundTrip(server, "PING")[0], "OK pong");
     EXPECT_EQ(roundTrip(server, "QUIT", /*expect_keep=*/false)[0],
               "OK bye");
+}
+
+TEST(SocketServer, ThrowingRequestIsErrInternalNotTerminate)
+{
+    // A catalog builder that throws something other than BadParam:
+    // the request is answered "ERR internal", the connection stays
+    // usable, and nothing reaches std::terminate.
+    ScenarioService service(serviceConfig());
+    ScenarioCatalog catalog = ScenarioCatalog::standard();
+    catalog.add("boom", "always throws",
+                [](const CatalogParams &) -> std::vector<fleet::ScenarioSpec> {
+                    throw std::runtime_error("builder failed");
+                });
+    SocketServer server(service, std::move(catalog), SocketServerConfig{});
+
+    const auto reply = roundTrip(server, "SUBMIT acme boom");
+    ASSERT_EQ(reply.size(), 1u);
+    EXPECT_EQ(reply[0], "ERR internal builder failed");
+    EXPECT_EQ(roundTrip(server, "PING")[0], "OK pong");
 }
 
 TEST(SocketServer, NegativeAndOversizedCountsAreBadParams)
