@@ -20,6 +20,8 @@
 #include "vehicle/ecu.h"
 #include "vehicle/reactive.h"
 
+#include "../vehicle/reactive_cycle.h"
+
 namespace sov {
 namespace {
 
@@ -183,7 +185,7 @@ TEST_P(ReactiveEnvelope, StopsJustInsideTriggerDistance)
 
     bool touched = false;
     sim.schedulePeriodic(Duration::millisF(2.0), Duration::zero(), [&] {
-        reactive.evaluate(world, car.pose(), car.speed(), sim.now());
+        reactiveCycle(reactive, world, car.pose(), car.speed(), sim.now());
         car.step(Duration::millisF(2.0));
         // Front bumper must never cross the obstacle face.
         if (car.pose().position.x() + 1.3 > face)

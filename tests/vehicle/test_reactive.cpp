@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "vehicle/reactive.h"
+#include "reactive_cycle.h"
 
 namespace sov {
 namespace {
@@ -36,8 +36,8 @@ TEST(ReactiveTrigger, FiresJustInsideThresholdNotJustOutside)
         Rig rig;
         const double trigger = rig.reactive.triggerDistance(speed, 4.0);
         World world = worldWithWallFaceAt(trigger + 0.01);
-        rig.reactive.evaluate(world, Pose2{Vec2(0, 0), 0.0}, speed,
-                              Timestamp::origin());
+        reactiveCycle(rig.reactive, world, Pose2{Vec2(0, 0), 0.0}, speed,
+                      Timestamp::origin());
         rig.sim.run();
         EXPECT_EQ(rig.reactive.triggerCount(), 0u);
         EXPECT_FALSE(rig.ecu.emergencyLatched());
@@ -46,8 +46,8 @@ TEST(ReactiveTrigger, FiresJustInsideThresholdNotJustOutside)
         Rig rig;
         const double trigger = rig.reactive.triggerDistance(speed, 4.0);
         World world = worldWithWallFaceAt(trigger - 0.01);
-        rig.reactive.evaluate(world, Pose2{Vec2(0, 0), 0.0}, speed,
-                              Timestamp::origin());
+        reactiveCycle(rig.reactive, world, Pose2{Vec2(0, 0), 0.0}, speed,
+                      Timestamp::origin());
         rig.sim.run();
         EXPECT_EQ(rig.reactive.triggerCount(), 1u);
         EXPECT_TRUE(rig.ecu.emergencyLatched());
@@ -83,8 +83,8 @@ TEST(ReactiveRelease, HoldsWhileObstacleInsideReleaseDistance)
     ASSERT_TRUE(rig.ecu.emergencyLatched());
 
     World world = worldWithWallFaceAt(5.0); // < release_distance 6.0
-    rig.reactive.evaluate(world, Pose2{Vec2(0, 0), 0.0}, 0.0,
-                          Timestamp::origin());
+    reactiveCycle(rig.reactive, world, Pose2{Vec2(0, 0), 0.0}, 0.0,
+                  Timestamp::origin());
     rig.sim.run();
     EXPECT_TRUE(rig.ecu.emergencyLatched());
 }
@@ -96,8 +96,8 @@ TEST(ReactiveRelease, ReleasesOnceObstacleBeyondReleaseDistance)
     rig.sim.run();
 
     World world = worldWithWallFaceAt(7.0); // > release_distance 6.0
-    rig.reactive.evaluate(world, Pose2{Vec2(0, 0), 0.0}, 0.0,
-                          Timestamp::origin());
+    reactiveCycle(rig.reactive, world, Pose2{Vec2(0, 0), 0.0}, 0.0,
+                  Timestamp::origin());
     rig.sim.run();
     EXPECT_FALSE(rig.ecu.emergencyLatched());
 }
@@ -109,8 +109,8 @@ TEST(ReactiveRelease, ReleasesWhenPathCompletelyClear)
     rig.sim.run();
 
     World empty;
-    rig.reactive.evaluate(empty, Pose2{Vec2(0, 0), 0.0}, 0.0,
-                          Timestamp::origin());
+    reactiveCycle(rig.reactive, empty, Pose2{Vec2(0, 0), 0.0}, 0.0,
+                  Timestamp::origin());
     rig.sim.run();
     EXPECT_FALSE(rig.ecu.emergencyLatched());
 }
@@ -124,8 +124,8 @@ TEST(ReactiveRelease, NeverReleasesWhileStillMoving)
     rig.sim.run();
 
     World empty;
-    rig.reactive.evaluate(empty, Pose2{Vec2(0, 0), 0.0}, 2.0,
-                          Timestamp::origin());
+    reactiveCycle(rig.reactive, empty, Pose2{Vec2(0, 0), 0.0}, 2.0,
+                  Timestamp::origin());
     rig.sim.run();
     EXPECT_TRUE(rig.ecu.emergencyLatched());
 }
@@ -138,8 +138,8 @@ TEST(ReactiveRelease, BoundaryIsExclusiveAtReleaseDistance)
     rig.sim.run();
 
     World world = worldWithWallFaceAt(6.0);
-    rig.reactive.evaluate(world, Pose2{Vec2(0, 0), 0.0}, 0.0,
-                          Timestamp::origin());
+    reactiveCycle(rig.reactive, world, Pose2{Vec2(0, 0), 0.0}, 0.0,
+                  Timestamp::origin());
     rig.sim.run();
     EXPECT_TRUE(rig.ecu.emergencyLatched());
 }

@@ -7,6 +7,8 @@
 #include "vehicle/ecu.h"
 #include "vehicle/reactive.h"
 
+#include "reactive_cycle.h"
+
 namespace sov {
 namespace {
 
@@ -156,7 +158,7 @@ TEST(Reactive, StopsBeforeObstacleAt41Meters)
     // is 1.3 m ahead of the reference point.
     double crash_gap = 1e18;
     sim.schedulePeriodic(Duration::millisF(5.0), Duration::zero(), [&] {
-        reactive.evaluate(world, car.pose(), car.speed(), sim.now());
+        reactiveCycle(reactive, world, car.pose(), car.speed(), sim.now());
         car.step(Duration::millisF(5.0));
         crash_gap = std::min(crash_gap,
                              5.5 - (car.pose().position.x() + 1.3));
@@ -196,8 +198,8 @@ TEST(Reactive, NoTriggerWhenFarAway)
     wall.footprint =
         OrientedBox2{Pose2{Vec2(30.0, 0.0), 0.0}, 1.0, 2.0};
     world.addObstacle(wall);
-    reactive.evaluate(world, Pose2{Vec2(0, 0), 0.0}, 5.6,
-                      Timestamp::origin());
+    reactiveCycle(reactive, world, Pose2{Vec2(0, 0), 0.0}, 5.6,
+                  Timestamp::origin());
     sim.run();
     EXPECT_EQ(reactive.triggerCount(), 0u);
     EXPECT_FALSE(ecu.emergencyLatched());
