@@ -19,7 +19,9 @@
  */
 #include <chrono>
 #include <cstdio>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "core/config.h"
 #include "core/logging.h"
@@ -81,6 +83,16 @@ main(int argc, char **argv)
     params.horizon_s = cfg.getDouble("horizon", 3.0);
     params.seeds = static_cast<std::size_t>(cfg.getInt("seeds", 4));
     const double linger = cfg.getDouble("linger", 0.0);
+
+    const std::vector<std::string> unread = cfg.unreadKeys();
+    if (!unread.empty()) {
+        std::fprintf(stderr,
+                     "fleet_service_demo: unknown argument '%s'\n"
+                     "usage: fleet_service_demo [horizon=3] [seeds=4] "
+                     "[linger=0]\n",
+                     unread.front().c_str());
+        return 2;
+    }
 
     ServiceConfig provisioning;
     provisioning.master_seed = 2026;

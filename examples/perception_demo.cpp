@@ -8,6 +8,8 @@
  * Run: ./perception_demo [views=20] [epochs=6]
  */
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "core/config.h"
 #include "sensors/radar.h"
@@ -26,6 +28,15 @@ main(int argc, char **argv)
     const Config cfg = Config::fromArgs(argc, argv);
     const auto views = static_cast<std::size_t>(cfg.getInt("views", 20));
     const auto epochs = static_cast<std::size_t>(cfg.getInt("epochs", 6));
+
+    const std::vector<std::string> unread = cfg.unreadKeys();
+    if (!unread.empty()) {
+        std::fprintf(stderr,
+                     "perception_demo: unknown argument '%s'\n"
+                     "usage: perception_demo [views=20] [epochs=6]\n",
+                     unread.front().c_str());
+        return 2;
+    }
 
     // ------------------------------------------------- the scene
     World world;

@@ -11,6 +11,8 @@
  * Run: ./quickstart [seconds=60] [speed=5.6]
  */
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "core/config.h"
 #include "core/logging.h"
@@ -25,6 +27,15 @@ main(int argc, char **argv)
     const Config cfg = Config::fromArgs(argc, argv);
     const double seconds = cfg.getDouble("seconds", 60.0);
     const double speed = cfg.getDouble("speed", 5.6);
+
+    const std::vector<std::string> unread = cfg.unreadKeys();
+    if (!unread.empty()) {
+        std::fprintf(stderr,
+                     "quickstart: unknown argument '%s'\n"
+                     "usage: quickstart [seconds=60] [speed=5.6]\n",
+                     unread.front().c_str());
+        return 2;
+    }
 
     // 1. The deployment site: a 120 x 80 m loop (think of the
     //    industrial-park route of Sec. II-A).

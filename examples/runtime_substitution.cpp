@@ -22,10 +22,12 @@
  * loc-hang@2s) injects that fault scenario into a supervised
  * async run — the watchdog truncates the hang, revokes the abandoned
  * frame's in-flight stages and the pipeline keeps streaming. Unknown
- * values for any of these print this usage and exit.
+ * values for any of these, and any other key, print this usage and
+ * exit 2.
  */
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "core/config.h"
 #include "fault/fault_plan.h"
@@ -135,6 +137,9 @@ main(int argc, char **argv)
         if (!fault_preset)
             return usage("faults", faults_name);
     }
+    const std::vector<std::string> unread = cfg.unreadKeys();
+    if (!unread.empty())
+        return usage("argument", unread.front());
 
     // ----------------------------------------------- shared test scene
     World world;

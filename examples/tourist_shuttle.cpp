@@ -9,6 +9,8 @@
  * Run: ./tourist_shuttle [shift_hours=10] [trips_per_day=100]
  */
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "analysis/cost_model.h"
 #include "analysis/energy_model.h"
@@ -24,6 +26,16 @@ main(int argc, char **argv)
     const Config cfg = Config::fromArgs(argc, argv);
     const double shift = cfg.getDouble("shift_hours", 10.0);
     const double trips = cfg.getDouble("trips_per_day", 100.0);
+
+    const std::vector<std::string> unread = cfg.unreadKeys();
+    if (!unread.empty()) {
+        std::fprintf(stderr,
+                     "tourist_shuttle: unknown argument '%s'\n"
+                     "usage: tourist_shuttle [shift_hours=10] "
+                     "[trips_per_day=100]\n",
+                     unread.front().c_str());
+        return 2;
+    }
 
     std::printf("=== Tourist-site shuttle: one deployment, all "
                 "constraints ===\n\n");

@@ -192,12 +192,6 @@ Histogram::add(double x, std::uint64_t weight)
 }
 
 double
-Histogram::binCenter(std::size_t i) const
-{
-    return lo_ + (static_cast<double>(i) + 0.5) * width_;
-}
-
-double
 Histogram::binLow(std::size_t i) const
 {
     return lo_ + static_cast<double>(i) * width_;

@@ -140,8 +140,6 @@ class Histogram
 
     std::size_t numBins() const { return counts_.size(); }
     std::uint64_t binCount(std::size_t i) const { return counts_.at(i); }
-    /** Center of bin i. */
-    double binCenter(std::size_t i) const;
     /** Lower edge of bin i. */
     double binLow(std::size_t i) const;
     std::uint64_t totalCount() const { return total_; }

@@ -5,10 +5,9 @@
  * it, delay it, corrupt it). Consumers keep their own last-good state
  * for Freeze; the hub only decides.
  *
- * The radar and sonar models additionally expose a dropout filter
- * hook (sensors/radar.h, sensors/sonar.h) for code paths that talk to
- * the sensor object directly; makeDropoutFilter() adapts a channel to
- * that hook.
+ * The radar model additionally exposes a dropout filter hook
+ * (sensors/radar.h) for code paths that talk to the sensor object
+ * directly; makeDropoutFilter() adapts a channel to that hook.
  */
 #pragma once
 

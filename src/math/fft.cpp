@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "core/logging.h"
-#include "math/simd_kernels.h"
 
 namespace sov {
 
@@ -53,40 +52,6 @@ fft(std::vector<Complex> &data, bool inverse)
 }
 
 void
-fftRealInto(const std::vector<double> &data, std::vector<Complex> &out)
-{
-    out.resize(data.size());
-    for (std::size_t i = 0; i < data.size(); ++i)
-        out[i] = Complex(data[i], 0.0);
-    fft(out, false);
-}
-
-std::vector<Complex>
-fftReal(const std::vector<double> &data)
-{
-    std::vector<Complex> c;
-    fftRealInto(data, c);
-    return c;
-}
-
-void
-ifftToRealInto(std::vector<Complex> &spectrum, std::vector<double> &out)
-{
-    fft(spectrum, true);
-    out.resize(spectrum.size());
-    for (std::size_t i = 0; i < spectrum.size(); ++i)
-        out[i] = spectrum[i].real();
-}
-
-std::vector<double>
-ifftToReal(std::vector<Complex> spectrum)
-{
-    std::vector<double> out;
-    ifftToRealInto(spectrum, out);
-    return out;
-}
-
-void
 fft2d(std::vector<Complex> &data, std::size_t rows, std::size_t cols,
       bool inverse)
 {
@@ -113,43 +78,6 @@ fft2d(std::vector<Complex> &data, std::size_t rows, std::size_t cols,
         for (std::size_t r = 0; r < rows; ++r)
             data[r * cols + c] = col[r];
     }
-}
-
-void
-hadamardInto(const std::vector<Complex> &a,
-             const std::vector<Complex> &b, std::vector<Complex> &out)
-{
-    SOV_ASSERT(a.size() == b.size());
-    out.resize(a.size());
-    simd::hadamardMul(out.data(), a.data(), b.data(), a.size(), false,
-                      SimdLevel::None);
-}
-
-std::vector<Complex>
-hadamard(const std::vector<Complex> &a, const std::vector<Complex> &b)
-{
-    std::vector<Complex> out;
-    hadamardInto(a, b, out);
-    return out;
-}
-
-void
-hadamardConjInto(const std::vector<Complex> &a,
-                 const std::vector<Complex> &b,
-                 std::vector<Complex> &out)
-{
-    SOV_ASSERT(a.size() == b.size());
-    out.resize(a.size());
-    simd::hadamardMul(out.data(), a.data(), b.data(), a.size(), true,
-                      SimdLevel::None);
-}
-
-std::vector<Complex>
-hadamardConj(const std::vector<Complex> &a, const std::vector<Complex> &b)
-{
-    std::vector<Complex> out;
-    hadamardConjInto(a, b, out);
-    return out;
 }
 
 } // namespace sov

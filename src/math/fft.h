@@ -24,50 +24,11 @@ bool isPowerOfTwo(std::size_t n);
  */
 void fft(std::vector<Complex> &data, bool inverse);
 
-/** Forward FFT of a real signal (length must be a power of two). */
-std::vector<Complex> fftReal(const std::vector<double> &data);
-
-/**
- * fftReal into a caller-owned buffer. @p out is resized to the input
- * length; a warm buffer is reused without reallocating, so per-frame
- * callers pay no steady-state allocation.
- */
-void fftRealInto(const std::vector<double> &data,
-                 std::vector<Complex> &out);
-
-/** Inverse FFT returning only the real parts. */
-std::vector<double> ifftToReal(std::vector<Complex> spectrum);
-
-/**
- * ifftToReal into a caller-owned buffer; @p spectrum is transformed
- * in place (it holds the time-domain values afterwards).
- */
-void ifftToRealInto(std::vector<Complex> &spectrum,
-                    std::vector<double> &out);
-
 /**
  * Row-major 2-D FFT.
  * @param data rows*cols complex values, both dimensions powers of two.
  */
 void fft2d(std::vector<Complex> &data, std::size_t rows, std::size_t cols,
            bool inverse);
-
-/** Element-wise product of two spectra (must be equal length). */
-std::vector<Complex> hadamard(const std::vector<Complex> &a,
-                              const std::vector<Complex> &b);
-
-/** hadamard into a caller-owned buffer (may alias @p a or @p b). */
-void hadamardInto(const std::vector<Complex> &a,
-                  const std::vector<Complex> &b,
-                  std::vector<Complex> &out);
-
-/** Element-wise product with the conjugate of b. */
-std::vector<Complex> hadamardConj(const std::vector<Complex> &a,
-                                  const std::vector<Complex> &b);
-
-/** hadamardConj into a caller-owned buffer (may alias inputs). */
-void hadamardConjInto(const std::vector<Complex> &a,
-                      const std::vector<Complex> &b,
-                      std::vector<Complex> &out);
 
 } // namespace sov

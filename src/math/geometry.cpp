@@ -31,13 +31,6 @@ Pose2::inverseTransform(const Vec2 &world) const
     return Vec2(c * d.x() + s * d.y(), -s * d.x() + c * d.y());
 }
 
-Pose2
-Pose2::compose(const Pose2 &other) const
-{
-    return Pose2{transform(other.position),
-                 wrapAngle(heading + other.heading)};
-}
-
 Vec2
 Pose2::direction() const
 {
@@ -90,13 +83,6 @@ Aabb2::overlaps(const Aabb2 &o) const
 {
     return lo.x() <= o.hi.x() && hi.x() >= o.lo.x() &&
            lo.y() <= o.hi.y() && hi.y() >= o.lo.y();
-}
-
-Aabb2
-Aabb2::inflated(double margin) const
-{
-    return Aabb2{Vec2(lo.x() - margin, lo.y() - margin),
-                 Vec2(hi.x() + margin, hi.y() + margin)};
 }
 
 BoxFrame

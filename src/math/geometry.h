@@ -30,9 +30,6 @@ struct Pose2
     /** Map a world-frame point into this pose's local frame. */
     Vec2 inverseTransform(const Vec2 &world) const;
 
-    /** Compose: the pose of (this ∘ other) in the world frame. */
-    Pose2 compose(const Pose2 &other) const;
-
     /** Unit heading vector. */
     Vec2 direction() const;
 };
@@ -63,8 +60,6 @@ struct Aabb2
 
     bool contains(const Vec2 &p) const;
     bool overlaps(const Aabb2 &o) const;
-    /** Grow symmetrically by @p margin on all sides. */
-    Aabb2 inflated(double margin) const;
 };
 
 /**

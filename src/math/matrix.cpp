@@ -259,15 +259,6 @@ Matrix::trace() const
     return s;
 }
 
-void
-Matrix::setBlock(std::size_t r0, std::size_t c0, const Matrix &block)
-{
-    SOV_ASSERT(r0 + block.rows_ <= rows_ && c0 + block.cols_ <= cols_);
-    for (std::size_t i = 0; i < block.rows_; ++i)
-        for (std::size_t j = 0; j < block.cols_; ++j)
-            (*this)(r0 + i, c0 + j) = block(i, j);
-}
-
 Matrix
 Matrix::block(std::size_t r0, std::size_t c0,
               std::size_t h, std::size_t w) const

@@ -81,8 +81,6 @@ class Matrix
     /** Sum of diagonal entries (square matrices). */
     double trace() const;
 
-    /** Set a sub-block starting at (r0, c0) from @p block. */
-    void setBlock(std::size_t r0, std::size_t c0, const Matrix &block);
     /** Extract an h x w sub-block starting at (r0, c0). */
     Matrix block(std::size_t r0, std::size_t c0,
                  std::size_t h, std::size_t w) const;

@@ -57,18 +57,6 @@ Quat::rotate(const Vec3 &v) const
     return v + t * w_ + qv.cross(t);
 }
 
-Matrix
-Quat::toRotationMatrix() const
-{
-    const double xx = x_ * x_, yy = y_ * y_, zz = z_ * z_;
-    const double xy = x_ * y_, xz = x_ * z_, yz = y_ * z_;
-    const double wx = w_ * x_, wy = w_ * y_, wz = w_ * z_;
-    return Matrix{
-        {1 - 2 * (yy + zz), 2 * (xy - wz), 2 * (xz + wy)},
-        {2 * (xy + wz), 1 - 2 * (xx + zz), 2 * (yz - wx)},
-        {2 * (xz - wy), 2 * (yz + wx), 1 - 2 * (xx + yy)}};
-}
-
 double
 Quat::yaw() const
 {

@@ -5,7 +5,6 @@
  */
 #pragma once
 
-#include "math/matrix.h"
 #include "math/vec.h"
 
 namespace sov {
@@ -45,9 +44,6 @@ class Quat
 
     /** Rotate a vector by this quaternion. */
     Vec3 rotate(const Vec3 &v) const;
-
-    /** 3x3 rotation matrix. */
-    Matrix toRotationMatrix() const;
 
     /** Yaw (rotation about Z) extracted from this rotation. */
     double yaw() const;

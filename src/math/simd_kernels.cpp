@@ -67,15 +67,6 @@ butterflyScalar(Complex *lo, Complex *hi, const Complex *w,
     }
 }
 
-template <bool ConjB>
-void
-hadamardScalar(Complex *out, const Complex *a, const Complex *b,
-               std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = ConjB ? a[i] * std::conj(b[i]) : a[i] * b[i];
-}
-
 void
 scaleScalar(Complex *data, double s, std::size_t n)
 {
@@ -225,28 +216,6 @@ butterflyAvx2(Complex *lo, Complex *hi, const Complex *w,
     butterflyScalar(lo + k, hi + k, w + k, half - k);
 }
 
-template <bool ConjB>
-__attribute__((target("avx2"))) void
-hadamardAvx2(Complex *out, const Complex *a, const Complex *b,
-             std::size_t n)
-{
-    auto *od = reinterpret_cast<double *>(out);
-    const auto *ad = reinterpret_cast<const double *>(a);
-    const auto *bd = reinterpret_cast<const double *>(b);
-    // Conjugation = exact sign flip of the imaginary lanes.
-    const __m256d conj_mask = _mm256_set_pd(-0.0, 0.0, -0.0, 0.0);
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2) {
-        __m256d vb = _mm256_loadu_pd(bd + 2 * i);
-        if (ConjB)
-            vb = _mm256_xor_pd(vb, conj_mask);
-        _mm256_storeu_pd(
-            od + 2 * i,
-            complexMulAvx2(_mm256_loadu_pd(ad + 2 * i), vb));
-    }
-    hadamardScalar<ConjB>(out + i, a + i, b + i, n - i);
-}
-
 __attribute__((target("avx2"))) void
 scaleAvx2(Complex *data, double s, std::size_t n)
 {
@@ -326,24 +295,6 @@ butterfly(Complex *lo, Complex *hi, const Complex *w, std::size_t half,
         return butterflyAvx2(lo, hi, w, half);
 #endif
     butterflyScalar(lo, hi, w, half);
-}
-
-void
-hadamardMul(Complex *out, const Complex *a, const Complex *b,
-            std::size_t n, bool conj_b,
-            [[maybe_unused]] SimdLevel level)
-{
-#if SOV_SIMD_X86
-    if (level == SimdLevel::Avx2) {
-        if (conj_b)
-            return hadamardAvx2<true>(out, a, b, n);
-        return hadamardAvx2<false>(out, a, b, n);
-    }
-#endif
-    if (conj_b)
-        hadamardScalar<true>(out, a, b, n);
-    else
-        hadamardScalar<false>(out, a, b, n);
 }
 
 void

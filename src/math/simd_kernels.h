@@ -11,11 +11,11 @@
  *
  * Only loops whose vector body measures a gain over its scalar twin
  * live here: the stereo SAD column update, the GEMM micro-rows and
- * the FFT butterfly/Hadamard/scale passes.
+ * the FFT butterfly and scale passes.
  *
  * Equivalence policy (gated in bench_kernels and the unit tests):
- *  - element-wise loops (absDiffAccum, axpy, butterfly, hadamardMul,
- *    scale) perform the same individually rounded operations per
+ *  - element-wise loops (absDiffAccum, axpy, butterfly, scale)
+ *    perform the same individually rounded operations per
  *    element in both bodies — mul and add are kept as separate
  *    instructions (target("avx2") does not enable FMA contraction) —
  *    so vector output is bit-identical to scalar;
@@ -61,10 +61,6 @@ float dot(const float *a, const float *b, std::size_t n,
  */
 void butterfly(Complex *lo, Complex *hi, const Complex *w,
                std::size_t half, SimdLevel level);
-
-/** out[i] = a[i]·b[i] (conj_b: a[i]·conj(b[i])). May alias a or b. */
-void hadamardMul(Complex *out, const Complex *a, const Complex *b,
-                 std::size_t n, bool conj_b, SimdLevel level);
 
 /** data[i] *= s — the inverse-FFT 1/N normalization. */
 void scale(Complex *data, double s, std::size_t n, SimdLevel level);

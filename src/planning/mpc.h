@@ -13,6 +13,7 @@
 
 #include <map>
 
+#include "math/matrix.h"
 #include "planning/collision.h"
 #include "planning/planner_types.h"
 #include "planning/prediction.h"

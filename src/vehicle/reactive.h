@@ -1,6 +1,6 @@
 /**
  * @file
- * Reactive safety path (Sec. IV): radar/sonar distance readings enter
+ * Reactive safety path (Sec. IV): radar distance readings enter
  * the ECU directly, bypassing sensing->perception->planning. Total
  * reaction latency is ~30 ms versus the proactive path's 149 ms+
  * best case, letting the vehicle stop for objects first seen at
@@ -13,7 +13,6 @@
 
 #include "core/time.h"
 #include "sensors/radar.h"
-#include "sensors/sonar.h"
 #include "sim/simulator.h"
 #include "vehicle/ecu.h"
 #include "world/world.h"
@@ -38,7 +37,7 @@ struct ReactiveConfig
     double release_distance = 6.0;
 };
 
-/** Watches radar/sonar and fires the ECU override. */
+/** Watches the radar and fires the ECU override. */
 class ReactivePath
 {
   public:
@@ -47,7 +46,7 @@ class ReactivePath
         : sim_(sim), ecu_(ecu), radar_(radar), config_(config) {}
 
     /**
-     * Evaluate one radar/sonar cycle with the vehicle at @p body
+     * Evaluate one radar cycle with the vehicle at @p body
      * moving at @p speed, over the obstacle footprints prepared at
      * @p t (PreparedObstacles; see RadarModel::nearestInPath).
      * Triggers or releases the emergency brake.

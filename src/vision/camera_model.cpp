@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "core/logging.h"
+#include "math/matrix.h"
 
 namespace sov {
 

@@ -104,13 +104,6 @@ struct StereoRig
         return disparity > 1e-9
             ? left.intrinsics().fx * baseline / disparity : 1e9;
     }
-
-    /** Disparity implied by a depth. */
-    double
-    disparityFromDepth(double depth) const
-    {
-        return left.intrinsics().fx * baseline / depth;
-    }
 };
 
 } // namespace sov

@@ -57,23 +57,6 @@ Image::gradientY() const
 }
 
 Image
-Image::boxBlur3() const
-{
-    Image out(width_, height_);
-    for (std::size_t y = 0; y < height_; ++y) {
-        for (std::size_t x = 0; x < width_; ++x) {
-            float sum = 0.0f;
-            for (long dy = -1; dy <= 1; ++dy)
-                for (long dx = -1; dx <= 1; ++dx)
-                    sum += atClamped(static_cast<long>(x) + dx,
-                                     static_cast<long>(y) + dy);
-            out(x, y) = sum / 9.0f;
-        }
-    }
-    return out;
-}
-
-Image
 Image::gaussianBlur(double sigma) const
 {
     SOV_ASSERT(sigma > 0.0);
@@ -160,17 +143,6 @@ Image::variance() const
     for (const float v : data_)
         s += (v - m) * (v - m);
     return s / static_cast<double>(data_.size());
-}
-
-Image
-Image::crop(long x0, long y0, std::size_t w, std::size_t h) const
-{
-    Image out(w, h);
-    for (std::size_t y = 0; y < h; ++y)
-        for (std::size_t x = 0; x < w; ++x)
-            out(x, y) = atClamped(x0 + static_cast<long>(x),
-                                  y0 + static_cast<long>(y));
-    return out;
 }
 
 } // namespace sov

@@ -49,9 +49,6 @@ class Image
     /** Vertical central-difference gradient. */
     Image gradientY() const;
 
-    /** 3x3 box blur. */
-    Image boxBlur3() const;
-
     /** Separable Gaussian blur (sigma > 0). */
     Image gaussianBlur(double sigma) const;
 
@@ -62,9 +59,6 @@ class Image
     double mean() const;
     /** Intensity variance. */
     double variance() const;
-
-    /** Crop a w x h window with top-left (x0, y0), border clamped. */
-    Image crop(long x0, long y0, std::size_t w, std::size_t h) const;
 
   private:
     std::size_t width_ = 0;

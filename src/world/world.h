@@ -12,8 +12,8 @@
  *  - WorldSnapshot is the time-indexed view the sensing layers take:
  *    a cheap immutable facade over (lane map, published obstacle
  *    rows, landmarks) at one timeline epoch. It converts implicitly
- *    from `const World &`, which is what lets the seven consumer
- *    layers (radar, sonar, lidar, renderer, detector, reactive path,
+ *    from `const World &`, which is what lets the six consumer
+ *    layers (radar, lidar, renderer, detector, reactive path,
  *    closed loop) migrate mechanically: their signatures take
  *    snapshots, their call sites keep passing worlds.
  *
@@ -75,7 +75,7 @@ class WorldSnapshot
     /**
      * Distance from @p origin along @p direction to the first obstacle
      * hit at time @p t, up to @p max_range. The physics behind the
-     * radar/sonar models and the reactive path (Sec. IV). A
+     * radar model and the reactive path (Sec. IV). A
      * zero-length direction sees nothing (nullopt), not a panic.
      */
     std::optional<double> raycast(const Vec2 &origin,

@@ -96,7 +96,6 @@ TEST(Histogram, BinningAndEdges)
     EXPECT_EQ(h.binCount(0), 2u);
     EXPECT_EQ(h.binCount(5), 1u);
     EXPECT_EQ(h.binCount(9), 2u);
-    EXPECT_DOUBLE_EQ(h.binCenter(0), 0.5);
     EXPECT_DOUBLE_EQ(h.binLow(9), 9.0);
 }
 

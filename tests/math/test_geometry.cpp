@@ -29,16 +29,6 @@ TEST(Pose2, TransformRoundTrip)
     EXPECT_NEAR(back.y(), local.y(), 1e-12);
 }
 
-TEST(Pose2, Compose)
-{
-    const Pose2 a{Vec2(1.0, 0.0), M_PI / 2.0};
-    const Pose2 b{Vec2(1.0, 0.0), 0.0};
-    const Pose2 c = a.compose(b);
-    EXPECT_NEAR(c.position.x(), 1.0, 1e-12);
-    EXPECT_NEAR(c.position.y(), 1.0, 1e-12);
-    EXPECT_NEAR(c.heading, M_PI / 2.0, 1e-12);
-}
-
 TEST(Segment2, ClosestPointAndDistance)
 {
     const Segment2 s{Vec2(0.0, 0.0), Vec2(10.0, 0.0)};
@@ -74,7 +64,6 @@ TEST(Aabb2, ContainsOverlapsInflated)
     EXPECT_FALSE(box.contains(Vec2(3, 1)));
     EXPECT_TRUE(box.overlaps(Aabb2{Vec2(1, 1), Vec2(3, 3)}));
     EXPECT_FALSE(box.overlaps(Aabb2{Vec2(3, 3), Vec2(4, 4)}));
-    EXPECT_TRUE(box.inflated(1.5).contains(Vec2(3, 1)));
 }
 
 TEST(OrientedBox2, OverlapAxisAligned)

@@ -49,18 +49,6 @@ TEST(Quat, ConjugateInverts)
     EXPECT_NEAR(r.z(), v.z(), 1e-12);
 }
 
-TEST(Quat, RotationMatrixAgreesWithRotate)
-{
-    const Quat q = Quat::fromAxisAngle(Vec3(0.2, 0.3, 0.4));
-    const Matrix m = q.toRotationMatrix();
-    const Vec3 v(1.0, 2.0, 3.0);
-    const Vec3 qr = q.rotate(v);
-    const Matrix mv = m * Matrix::columnVector({v.x(), v.y(), v.z()});
-    EXPECT_NEAR(mv(0, 0), qr.x(), 1e-12);
-    EXPECT_NEAR(mv(1, 0), qr.y(), 1e-12);
-    EXPECT_NEAR(mv(2, 0), qr.z(), 1e-12);
-}
-
 TEST(Quat, ExpLogRoundTrip)
 {
     const Vec3 w(0.1, -0.7, 0.3);

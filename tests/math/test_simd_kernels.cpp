@@ -132,24 +132,6 @@ TEST_F(SimdKernels, ButterflyMatchesScalarBitwise)
     }
 }
 
-TEST_F(SimdKernels, HadamardMatchesScalarBitwise)
-{
-    for (const std::size_t n : kSizes) {
-        const auto a = randomComplex(n, 13 * n + 1);
-        const auto b = randomComplex(n, 13 * n + 2);
-        for (const bool conj_b : {false, true}) {
-            std::vector<Complex> scalar(n);
-            std::vector<Complex> vectorized(n);
-            simd::hadamardMul(scalar.data(), a.data(), b.data(), n,
-                              conj_b, SimdLevel::None);
-            simd::hadamardMul(vectorized.data(), a.data(), b.data(), n,
-                              conj_b, level_);
-            EXPECT_EQ(scalar, vectorized) << "n=" << n
-                                          << " conj=" << conj_b;
-        }
-    }
-}
-
 TEST_F(SimdKernels, ScaleMatchesScalarBitwise)
 {
     for (const std::size_t n : kSizes) {

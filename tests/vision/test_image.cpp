@@ -50,15 +50,6 @@ TEST(Image, GradientOfRamp)
     EXPECT_NEAR(gy(4, 4), 0.0f, 1e-6);
 }
 
-TEST(Image, BoxBlurPreservesConstant)
-{
-    Image img(5, 5, 0.7f);
-    const Image blurred = img.boxBlur3();
-    for (std::size_t y = 0; y < 5; ++y)
-        for (std::size_t x = 0; x < 5; ++x)
-            EXPECT_NEAR(blurred(x, y), 0.7f, 1e-6);
-}
-
 TEST(Image, GaussianBlurReducesVariance)
 {
     Image img(32, 32);
@@ -94,18 +85,6 @@ TEST(Image, MeanAndVariance)
     img(1, 1) = 4.0f;
     EXPECT_DOUBLE_EQ(img.mean(), 2.5);
     EXPECT_DOUBLE_EQ(img.variance(), 1.25);
-}
-
-TEST(Image, CropWithinAndBeyondBorders)
-{
-    Image img(4, 4);
-    img(1, 1) = 1.0f;
-    const Image c = img.crop(1, 1, 2, 2);
-    EXPECT_EQ(c.width(), 2u);
-    EXPECT_EQ(c(0, 0), 1.0f);
-    // Crop extending past the border clamps.
-    const Image edge = img.crop(3, 3, 3, 3);
-    EXPECT_EQ(edge(2, 2), img(3, 3));
 }
 
 } // namespace
